@@ -77,11 +77,12 @@ cover-serve:
 # burn-rate tracking on; fails on any lost completion or a cache
 # hit-rate at or below 50%. Writes bench-out/BENCH_serve.json and the
 # retained span trees, and prints a delta against the committed
-# baseline in testdata/bench_baseline/.
+# baseline in testdata/bench_baseline/. The run is under -race, so the
+# delta is informational: no timing gate applies to it.
 SERVE_QUERIES ?= 1000
 bench-serve:
 	@mkdir -p bench-out
-	$(GO) run -race ./cmd/benchrunner -serve -serve-queries $(SERVE_QUERIES) \
+	$(GO) run -race ./cmd/benchrunner -exp serve -queries $(SERVE_QUERIES) \
 		-concurrency 16 -bench-out bench-out \
 		-spans bench-out/serve_spans.json \
 		-baseline testdata/bench_baseline/BENCH_serve.json
@@ -93,8 +94,8 @@ bench-serve:
 FAULT_SEED ?= 2018
 bench-fault:
 	@mkdir -p bench-out
-	$(GO) run ./cmd/benchrunner -faults -fault-seed $(FAULT_SEED) \
-		-fault-min-completion 1 -bench-out bench-out -csv bench-out
+	$(GO) run ./cmd/benchrunner -exp fault -fault-seed $(FAULT_SEED) \
+		-bench-out bench-out -csv bench-out
 
 # Online-learning convergence replay: a seeded corpus fed one completed
 # query at a time into a cold model-lifecycle registry. Fails unless the
@@ -104,8 +105,8 @@ bench-fault:
 LEARN_QUERIES ?= 120
 bench-learn:
 	@mkdir -p bench-out
-	$(GO) run ./cmd/benchrunner -learn -learn-queries $(LEARN_QUERIES) \
-		-learn-gate 1.10 -bench-out bench-out -csv bench-out
+	$(GO) run ./cmd/benchrunner -exp learn -queries $(LEARN_QUERIES) \
+		-bench-out bench-out -csv bench-out
 
 # Network-frontend benchmark: NET_QUERIES TPC-H submissions over real
 # loopback sockets through the RESP-style TCP frontend — NET_CONNS
@@ -118,49 +119,45 @@ NET_QUERIES ?= 400
 NET_CONNS   ?= 8
 bench-net:
 	@mkdir -p bench-out
-	$(GO) run ./cmd/benchrunner -net -net-queries $(NET_QUERIES) \
-		-net-conns $(NET_CONNS) -bench-out bench-out \
-		-net-baseline testdata/bench_baseline/BENCH_net.json -net-p99-gate 1.5
+	$(GO) run ./cmd/benchrunner -exp net -queries $(NET_QUERIES) \
+		-concurrency $(NET_CONNS) -bench-out bench-out \
+		-baseline testdata/bench_baseline/BENCH_net.json
 
 # Sharded-serving benchmark: the same closed-loop TPC-H load through
 # one engine and through a SHARD_SHARDS-way fingerprint-routed cluster
 # (both with online learning on, so the comparison is fair), then a
 # failover phase under a deterministic crash plan. Fails on any lost
 # completion, on a failover phase with no actual failover, or when
-# cluster/single throughput scaling falls below SHARD_SCALE_GATE
-# derated by min(1, cores/shards). Writes bench-out/BENCH_shard.json
+# cluster/single throughput scaling falls below 2.5x derated by
+# min(1, GOMAXPROCS/shards). Writes bench-out/BENCH_shard.json
 # and prints a delta against the committed baseline.
-SHARD_QUERIES    ?= 4000
-SHARD_SHARDS     ?= 4
-SHARD_SCALE_GATE ?= 2.5
+SHARD_QUERIES ?= 4000
+SHARD_SHARDS  ?= 4
 bench-shard:
 	@mkdir -p bench-out
-	$(GO) run ./cmd/benchrunner -shard -shard-queries $(SHARD_QUERIES) \
+	$(GO) run ./cmd/benchrunner -exp shard -queries $(SHARD_QUERIES) \
 		-shard-shards $(SHARD_SHARDS) -bench-out bench-out \
-		-shard-baseline testdata/bench_baseline/BENCH_shard.json \
-		-shard-scale-gate $(SHARD_SCALE_GATE)
+		-baseline testdata/bench_baseline/BENCH_shard.json
 
 # Microbenchmarks + sketch-accuracy gate: benchstat-comparable
 # BenchmarkMicro* families (sketch ops, estimator, engine
 # map/shuffle/reduce, serve-cache lookup) with -benchmem, parsed and
-# gated by cmd/benchrunner -micro against the committed baseline in
+# gated by cmd/benchrunner -exp micro against the committed baseline in
 # testdata/bench_baseline/BENCH_micro.json — allocs/op may never
-# regress; ns/op may drift up to MICRO_TIME_GATE x (machine variance).
+# regress; ns/op may drift up to 4x (machine variance).
 # The same run replays the accuracy contracts on TPC-H: every HLL
 # distinct estimate within 5% of the exact catalog, and Bloom semi-join
 # pruning byte-identical to the unpruned engine (zero false negatives).
 # Writes bench-out/BENCH_micro.{txt,json}; the raw text is
 # benchstat-ready for manual before/after comparisons.
-MICRO_PKGS      := ./internal/sketch ./internal/selectivity ./internal/mapreduce ./internal/serve
-MICRO_TIME_GATE ?= 4.0
+MICRO_PKGS := ./internal/sketch ./internal/selectivity ./internal/mapreduce ./internal/serve
 bench-micro:
 	@mkdir -p bench-out
 	$(GO) test -run '^$$' -bench '^BenchmarkMicro' -benchmem -count 1 \
 		$(MICRO_PKGS) | tee bench-out/BENCH_micro.txt
-	$(GO) run ./cmd/benchrunner -micro -micro-in bench-out/BENCH_micro.txt \
+	$(GO) run ./cmd/benchrunner -exp micro -micro-in bench-out/BENCH_micro.txt \
 		-bench-out bench-out \
-		-micro-baseline testdata/bench_baseline/BENCH_micro.json \
-		-micro-time-gate $(MICRO_TIME_GATE)
+		-baseline testdata/bench_baseline/BENCH_micro.json
 
 # Rebase the committed microbenchmark baseline from a fresh run on this
 # machine (review the diff before committing).
@@ -168,9 +165,9 @@ bench-micro-rebase:
 	@mkdir -p bench-out
 	$(GO) test -run '^$$' -bench '^BenchmarkMicro' -benchmem -count 1 \
 		$(MICRO_PKGS) | tee bench-out/BENCH_micro.txt
-	$(GO) run ./cmd/benchrunner -micro -micro-in bench-out/BENCH_micro.txt \
+	$(GO) run ./cmd/benchrunner -exp micro -micro-in bench-out/BENCH_micro.txt \
 		-bench-out bench-out \
-		-micro-baseline testdata/bench_baseline/BENCH_micro.json -micro-rebase
+		-baseline testdata/bench_baseline/BENCH_micro.json -rebase
 
 # Regenerate the paper's tables and figures with full observability:
 # machine-readable BENCH_<exp>.json per experiment, a Perfetto-loadable

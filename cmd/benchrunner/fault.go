@@ -1,74 +1,30 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
 	"saqp"
 )
 
-// faultConfig parameterizes the fault-injection replay benchmark.
-type faultConfig struct {
-	Seed          uint64  // fault-plan seed (expansion + failure hashes)
-	Rounds        int     // copies of the canonical TPC-H set replayed
-	GapSec        float64 // mean Poisson inter-arrival gap
-	MinCompletion float64 // CI gate: fail when completion rate < this; 0 disables
-	Scheduler     string  // scheduler for both replays
-	CorpusSeed    uint64  // experiment seed (cost models, arrivals)
-}
-
-// faultReport is BENCH_fault.json: the faulted replay's recovery outcome
-// against its clean twin. Every field is deterministic in the two seeds.
-type faultReport struct {
-	Experiment string  `json:"experiment"`
-	Scheduler  string  `json:"scheduler"`
-	Seed       uint64  `json:"seed"`
-	FaultSeed  uint64  `json:"fault_seed"`
-	Rounds     int     `json:"rounds"`
-	GapSec     float64 `json:"gap_sec"`
-
-	Queries        int     `json:"queries"`
-	Completed      int     `json:"completed"`
-	Failed         int     `json:"failed"`
-	CompletionRate float64 `json:"completion_rate"`
-
-	CleanP50Sec      float64 `json:"clean_p50_sec"`
-	CleanP99Sec      float64 `json:"clean_p99_sec"`
-	FaultP50Sec      float64 `json:"fault_p50_sec"`
-	FaultP99Sec      float64 `json:"fault_p99_sec"`
-	P50Inflation     float64 `json:"p50_inflation"`
-	P99Inflation     float64 `json:"p99_inflation"`
-	CleanMakespanSec float64 `json:"clean_makespan_sec"`
-	FaultMakespanSec float64 `json:"fault_makespan_sec"`
-
-	TaskFailures       int `json:"task_failures"`
-	TaskRetries        int `json:"task_retries"`
-	NodeCrashes        int `json:"node_crashes"`
-	NodeRecoveries     int `json:"node_recoveries"`
-	NodesBlacklisted   int `json:"nodes_blacklisted"`
-	SpeculativeCancels int `json:"speculative_cancels"`
-	QueryFailures      int `json:"query_failures"`
-
-	WallSeconds float64 `json:"wall_seconds"`
-}
+// faultMinCompletion is the share of faulted-run queries recovery must
+// complete.
+const faultMinCompletion = 1
 
 // faultBench replays the canonical TPC-H queries twice — clean, then
-// under the default fault plan seeded with fc.Seed — prints the recovery
-// summary, writes BENCH_fault.json, and enforces the completion gate.
-func faultBench(fc faultConfig, benchDir, csvDir string) error {
+// under the default fault plan seeded with -fault-seed — prints the
+// recovery summary, and gates the completion rate.
+func faultBench(c config) error {
 	cfg := saqp.DefaultExperimentConfig()
-	cfg.Seed = fc.CorpusSeed
-	spec := saqp.DefaultFaultSpec(fc.Seed)
+	cfg.Seed = c.seed
+	spec := saqp.DefaultFaultSpec(c.faultSeed)
 	fmt.Printf("Fault replay: %d round(s) of the TPC-H set, gap %.0fs, plan seed %d (%d nodes, horizon %.0fs)\n",
-		fc.Rounds, fc.GapSec, fc.Seed, spec.Nodes, spec.HorizonSec)
+		c.faultRounds, c.gap, c.faultSeed, spec.Nodes, spec.HorizonSec)
 
 	begin := time.Now()
-	r, err := saqp.ReproduceFaultReplay(nil, cfg, saqp.NewFaultPlan(spec),
-		fc.Scheduler, fc.Rounds, fc.GapSec)
+	r, err := saqp.ReproduceFaultReplay(nil, cfg, saqp.NewFaultPlan(spec), c.sched, c.faultRounds, c.gap)
 	if err != nil {
 		return err
 	}
@@ -86,7 +42,7 @@ func faultBench(fc faultConfig, benchDir, csvDir string) error {
 		r.Faults.TaskRetries, r.Faults.NodeRecoveries, r.Faults.NodesBlacklisted, r.Faults.SpeculativeCancels)
 	w.Flush()
 
-	if err := writeCSV(csvDir, "fault", [][]string{
+	if err := writeCSV(c.csvDir, "fault", [][]string{
 		{"queries", "completed", "failed", "completion_rate",
 			"clean_p50_sec", "fault_p50_sec", "clean_p99_sec", "fault_p99_sec",
 			"task_failures", "task_retries", "node_crashes", "nodes_blacklisted"},
@@ -98,53 +54,27 @@ func faultBench(fc faultConfig, benchDir, csvDir string) error {
 		return err
 	}
 
-	if benchDir != "" {
-		rep := faultReport{
-			Experiment: "fault",
-			Scheduler:  r.Scheduler,
-			Seed:       fc.CorpusSeed,
-			FaultSeed:  fc.Seed,
-			Rounds:     fc.Rounds,
-			GapSec:     fc.GapSec,
-
-			Queries:        r.Queries,
-			Completed:      r.Completed,
-			Failed:         r.Failed,
-			CompletionRate: r.CompletionRate,
-
-			CleanP50Sec:      r.CleanP50Sec,
-			CleanP99Sec:      r.CleanP99Sec,
-			FaultP50Sec:      r.FaultP50Sec,
-			FaultP99Sec:      r.FaultP99Sec,
-			P50Inflation:     r.P50Inflation,
-			P99Inflation:     r.P99Inflation,
-			CleanMakespanSec: r.CleanMakespanSec,
-			FaultMakespanSec: r.FaultMakespanSec,
-
-			TaskFailures:       r.Faults.TaskFailures,
-			TaskRetries:        r.Faults.TaskRetries,
-			NodeCrashes:        r.Faults.NodeCrashes,
-			NodeRecoveries:     r.Faults.NodeRecoveries,
-			NodesBlacklisted:   r.Faults.NodesBlacklisted,
-			SpeculativeCancels: r.Faults.SpeculativeCancels,
-			QueryFailures:      r.Faults.QueryFailures,
-
-			WallSeconds: wall,
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(benchDir, "BENCH_fault.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nWrote %s\n", path)
-	}
-
-	if fc.MinCompletion > 0 && r.CompletionRate < fc.MinCompletion {
-		return fmt.Errorf("completion rate %.3f below gate %.3f (%d of %d queries failed)",
-			r.CompletionRate, fc.MinCompletion, r.Failed, r.Queries)
-	}
-	return nil
+	// Every metric but wall_seconds is deterministic in the two seeds.
+	rep := newReport("fault", map[string]any{
+		"scheduler": r.Scheduler, "seed": c.seed, "fault_seed": c.faultSeed, "rounds": c.faultRounds, "gap_sec": c.gap,
+	}, map[string]float64{
+		"queries": float64(r.Queries), "completed": float64(r.Completed), "failed": float64(r.Failed),
+		"completion_rate": r.CompletionRate,
+		"clean_p50_sec":   r.CleanP50Sec, "clean_p99_sec": r.CleanP99Sec,
+		"fault_p50_sec": r.FaultP50Sec, "fault_p99_sec": r.FaultP99Sec,
+		"p50_inflation": r.P50Inflation, "p99_inflation": r.P99Inflation,
+		"clean_makespan_sec": r.CleanMakespanSec, "fault_makespan_sec": r.FaultMakespanSec,
+		"task_failures": float64(r.Faults.TaskFailures), "task_retries": float64(r.Faults.TaskRetries),
+		"node_crashes": float64(r.Faults.NodeCrashes), "node_recoveries": float64(r.Faults.NodeRecoveries),
+		"nodes_blacklisted":   float64(r.Faults.NodesBlacklisted),
+		"speculative_cancels": float64(r.Faults.SpeculativeCancels),
+		"query_failures":      float64(r.Faults.QueryFailures),
+		"wall_seconds":        wall,
+	})
+	rep.Gates = faultGates()
+	return c.out.finish(rep)
 }
+
+// faultGates: recovery must complete at least faultMinCompletion of
+// the faulted run's queries.
+func faultGates() []gate { return []gate{{"completion_rate", ">=", faultMinCompletion}} }

@@ -1,58 +1,33 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"text/tabwriter"
 	"time"
 
 	"saqp"
 )
 
-// learnConfig parameterizes the online-learning convergence benchmark.
-type learnConfig struct {
-	Queries    int     // replayed corpus size
-	Window     int     // promotion error-window length
-	MinSamples int     // challenger warm-up before the first promotion
-	Margin     float64 // challenger must beat champion by this fraction
-	PointEvery int     // job-sample stride between convergence points
-	Gate       float64 // CI gate: final challenger err ≤ batch err × Gate; 0 disables
-	Seed       uint64  // corpus seed
-}
-
-// learnReport is BENCH_learn.json: the convergence replay's outcome plus
-// the invocation's parameters. Every field except WallSeconds is
-// deterministic in the seed.
-type learnReport struct {
-	Experiment string  `json:"experiment"`
-	Seed       uint64  `json:"seed"`
-	Window     int     `json:"window"`
-	MinSamples int     `json:"min_samples"`
-	Margin     float64 `json:"margin"`
-	Gate       float64 `json:"gate"`
-
-	Result *saqp.LearnReplayResult `json:"result"`
-
-	WallSeconds float64 `json:"wall_seconds"`
-}
+// learnGate bounds the final challenger's error at this multiple of
+// the batch fit's error over the same samples.
+const learnGate = 1.10
 
 // learnBench replays a seeded corpus through a cold model-lifecycle
-// registry, prints the convergence curve and promotion sequence, writes
-// BENCH_learn.json, and enforces the challenger-vs-batch accuracy gate.
-func learnBench(lc learnConfig, benchDir, csvDir string) error {
+// registry, prints the convergence curve and promotion sequence, and
+// gates the challenger against the batch fit.
+func learnBench(c config) error {
 	fmt.Printf("Learning replay: %d queries (seed %d), window %d, min-samples %d, margin %.2f\n",
-		lc.Queries, lc.Seed, lc.Window, lc.MinSamples, lc.Margin)
+		c.queries, c.seed, c.learnWindow, c.learnMinSamples, c.learnMargin)
 
 	begin := time.Now()
 	r, err := saqp.ReproduceLearningReplay(saqp.LearnReplayConfig{
-		Queries:       lc.Queries,
-		Seed:          lc.Seed,
-		Window:        lc.Window,
-		MinSamples:    lc.MinSamples,
-		PromoteMargin: lc.Margin,
-		PointEvery:    lc.PointEvery,
+		Queries:       c.queries,
+		Seed:          c.seed,
+		Window:        c.learnWindow,
+		MinSamples:    c.learnMinSamples,
+		PromoteMargin: c.learnMargin,
+		PointEvery:    c.learnPointEvery,
 	})
 	if err != nil {
 		return err
@@ -81,36 +56,28 @@ func learnBench(lc learnConfig, benchDir, csvDir string) error {
 		fmt.Printf("%11d  %7d  %.4f\n", p.JobSamples, p.Version, p.ChallengerErr)
 		rows = append(rows, []string{fmt.Sprint(p.JobSamples), fmt.Sprint(p.Version), f2(p.ChallengerErr)})
 	}
-	if err := writeCSV(csvDir, "learn", rows); err != nil {
+	if err := writeCSV(c.csvDir, "learn", rows); err != nil {
 		return err
 	}
 
-	if benchDir != "" {
-		rep := learnReport{
-			Experiment: "learn",
-			Seed:       lc.Seed,
-			Window:     lc.Window,
-			MinSamples: lc.MinSamples,
-			Margin:     lc.Margin,
-			Gate:       lc.Gate,
-			Result:     r,
+	// Every metric but wall_seconds is deterministic in the seed; the
+	// detail carries the full curve and promotion sequence.
+	rep := newReport("learn", map[string]any{
+		"queries": c.queries, "seed": c.seed, "window": c.learnWindow, "min_samples": c.learnMinSamples,
+		"margin": c.learnMargin, "point_every": c.learnPointEvery,
+	}, map[string]float64{
+		"queries": float64(r.Queries), "job_samples": float64(r.JobSamples), "task_samples": float64(r.TaskSamples),
+		"promotions": float64(len(r.Promotions)), "final_version": float64(r.FinalVersion),
+		"final_challenger_err": r.FinalChallengerErr, "batch_err": r.BatchErr,
+		"wall_seconds": wall,
+	})
+	rep.Gates = learnGates(rep.Metrics)
+	rep.Detail = r
+	return c.out.finish(rep)
+}
 
-			WallSeconds: wall,
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(benchDir, "BENCH_learn.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nWrote %s\n", path)
-	}
-
-	if lc.Gate > 0 && r.FinalChallengerErr > r.BatchErr*lc.Gate {
-		return fmt.Errorf("challenger error %.4f above gate %.4f (batch %.4f × %.2f)",
-			r.FinalChallengerErr, r.BatchErr*lc.Gate, r.BatchErr, lc.Gate)
-	}
-	return nil
+// learnGates: the fully fed challenger may trail the batch fit by at
+// most learnGate×.
+func learnGates(m map[string]float64) []gate {
+	return []gate{{"final_challenger_err", "<=", m["batch_err"] * learnGate}}
 }

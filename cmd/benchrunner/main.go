@@ -1,17 +1,20 @@
 // Command benchrunner regenerates every table and figure of the paper's
 // evaluation (Section 5) from the reproduction's simulated substrate and
-// prints them in the paper's row/series layout.
+// prints them in the paper's row/series layout, and hosts the serving,
+// network, shard, micro, fault and learning benchmarks. Every
+// experiment writes one report schema (BENCH_<exp>.json) and is gated
+// by one check; see report.go.
 //
 // Usage:
 //
 //	benchrunner -exp all
 //	benchrunner -exp table3 -queries 1000
 //	benchrunner -exp fig8 -gap 12
+//	benchrunner -exp net -baseline testdata/bench_baseline/BENCH_net.json
 package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,223 +27,159 @@ import (
 	"saqp"
 )
 
+// config is the parsed command line; each experiment reads the fields
+// it uses.
+type config struct {
+	exp                            string
+	queries, conc, cache, workers  int
+	shards, faultRounds            int
+	learnWindow, learnMinSamples   int
+	learnPointEvery                int
+	qps, gap, learnMargin, microSF float64
+	seed, faultSeed                uint64
+	sched, admin, spans, microIn   string
+	csvDir, traceOut, promOut      string
+	timeout, linger                time.Duration
+	out                            output
+}
+
+// benches are the -exp values that are not paper artifacts.
+var benches = map[string]func(config) error{
+	"serve": serveBench, "net": netBench, "shard": shardBench,
+	"micro": microBench, "fault": faultBench, "learn": learnBench,
+}
+
+// defaults are each experiment's values for the shared flags left at
+// 0; "paper" covers every table and figure.
+var defaults = map[string]struct {
+	queries, conc, cache int
+	gap                  float64
+}{
+	"paper": {queries: 240, gap: 12},
+	"serve": {queries: 1000, conc: 16, cache: 256},
+	"net":   {queries: 400, conc: 8, cache: 256},
+	"shard": {queries: 4000, conc: 16, cache: 64},
+	"learn": {queries: 120},
+	"fault": {gap: 20},
+}
+
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table2|table3|table4|table5|fig2|fig5|fig6|fig7|fig8|all")
-		queries  = flag.Int("queries", 240, "corpus size (paper: 1000)")
-		gap      = flag.Float64("gap", 12, "mean Poisson inter-arrival gap in seconds for fig8")
+		exp      = flag.String("exp", "all", "experiment: a paper artifact (table2|table3|table4|table5|fig2|fig5|fig6|fig7|fig8|all) or a benchmark (serve|net|shard|micro|fault|learn)")
+		queries  = flag.Int("queries", 0, "corpus size for the paper artifacts (the paper used 1000), or submissions per run (0 = default: paper 240, serve 1000, net 400, shard 4000 per phase, learn 120)")
+		gap      = flag.Float64("gap", 0, "mean Poisson inter-arrival gap in seconds (0 = default: fig8 12, fault 20)")
 		seed     = flag.Uint64("seed", 2018, "experiment seed")
 		csvDir   = flag.String("csv", "", "also write each experiment's data as CSV into this directory")
 		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON of the simulated runs (fig2/fig8) to this file")
 		promOut  = flag.String("metrics", "", "write Prometheus text-format metrics to this file")
-		benchDir = flag.String("bench-out", "", "write machine-readable BENCH_<exp>.json results into this directory")
+		benchDir = flag.String("bench-out", "", "write the machine-readable BENCH_<exp>.json report into this directory")
+		baseline = flag.String("baseline", "", "print this run against a committed BENCH_<exp>.json; its numbers set the baseline-relative gates (net p99, micro ns/op and allocs/op)")
+		rebase   = flag.Bool("rebase", false, "rewrite -baseline from this run (when its other gates pass) instead of gating against it")
 
-		faultMode    = flag.Bool("faults", false, "run the fault-injection replay benchmark instead of the paper experiments")
-		faultSeed    = flag.Uint64("fault-seed", 2018, "faults: seed of the injected fault plan")
-		faultRounds  = flag.Int("fault-rounds", 3, "faults: copies of the canonical TPC-H set replayed")
-		faultGap     = flag.Float64("fault-gap", 20, "faults: mean Poisson inter-arrival gap in seconds")
-		faultMinComp = flag.Float64("fault-min-completion", 0, "faults: exit nonzero when the completion rate drops below this fraction (CI gate; 0 disables)")
-		faultSched   = flag.String("fault-sched", "SWRD", "faults: scheduler for both the clean and faulted replay")
+		conc    = flag.Int("concurrency", 0, "serve/net/shard: submitter goroutines, one client connection each for net (0 = default: serve 16, net 8, shard 16)")
+		qps     = flag.Float64("qps", 0, "serve/net: open-loop arrival rate in queries/sec (0 = closed-loop)")
+		workers = flag.Int("workers", 4, "serve/net: simulator pool size")
+		cache   = flag.Int("cache", 0, "serve/net/shard: plan/estimate cache entries per engine (0 = default: serve 256, net 256, shard 64)")
+		sched   = flag.String("sched", "SWRD", "serve/net/shard/fault: scheduler (HCS|HFS|SWRD)")
+		timeout = flag.Duration("serve-timeout", 0, "serve: per-query wall-clock timeout (0 = none)")
+		admin   = flag.String("admin", "", "serve: host the live introspection endpoint (/metrics /spans /slo /debug/pprof) on this address for the benchmark's duration")
+		linger  = flag.Duration("admin-linger", 0, "serve: keep the server and admin endpoint alive this long after the benchmark finishes (SIGINT/SIGTERM ends it early)")
+		spans   = flag.String("spans", "", "serve: record request span trees and write them as JSON to this file")
+		shards  = flag.Int("shard-shards", 4, "shard: primary/replica pairs in the sharded phase")
 
-		learnMode       = flag.Bool("learn", false, "run the online-learning convergence benchmark instead of the paper experiments")
-		learnQueries    = flag.Int("learn-queries", 120, "learn: replayed corpus size")
+		faultSeed   = flag.Uint64("fault-seed", 2018, "fault/shard: seed of the injected fault plan")
+		faultRounds = flag.Int("fault-rounds", 3, "fault: copies of the canonical TPC-H set replayed")
+
 		learnWindow     = flag.Int("learn-window", 100, "learn: promotion error-window length")
 		learnMinSamples = flag.Int("learn-min-samples", 50, "learn: challenger warm-up before the first promotion")
 		learnMargin     = flag.Float64("learn-margin", 0.05, "learn: promotion margin (challenger must beat champion by this fraction)")
 		learnPointEvery = flag.Int("learn-point-every", 25, "learn: job-sample stride between convergence points")
-		learnGate       = flag.Float64("learn-gate", 1.10, "learn: exit nonzero when final challenger err exceeds batch err times this factor (CI gate; 0 disables)")
 
-		serveMode     = flag.Bool("serve", false, "run the concurrent serving benchmark instead of the paper experiments")
-		concurrency   = flag.Int("concurrency", 16, "serve: submitter goroutines")
-		qps           = flag.Float64("qps", 0, "serve: open-loop arrival rate in queries/sec (0 = closed-loop)")
-		serveQueries  = flag.Int("serve-queries", 1000, "serve: total submissions")
-		serveWorkers  = flag.Int("serve-workers", 4, "serve: simulator pool size")
-		serveCache    = flag.Int("serve-cache", 256, "serve: plan/estimate cache entries")
-		serveSched    = flag.String("serve-sched", "SWRD", "serve: pool scheduler (HCS|HFS|SWRD)")
-		serveTimeout  = flag.Duration("serve-timeout", 0, "serve: per-query wall-clock timeout (0 = none)")
-		serveAdmin    = flag.String("admin", "", "serve: host the live introspection endpoint (/metrics /spans /slo /debug/pprof) on this address for the benchmark's duration")
-		serveLinger   = flag.Duration("admin-linger", 0, "serve: keep the server and admin endpoint alive this long after the benchmark finishes (SIGINT/SIGTERM ends it early)")
-		serveSpans    = flag.String("spans", "", "serve: record request span trees and write them as JSON to this file")
-		serveBaseline = flag.String("baseline", "", "serve: print a delta of this run against a committed BENCH_serve.json baseline")
-
-		shardMode      = flag.Bool("shard", false, "run the sharded-serving benchmark (single engine vs fingerprint-routed shard cluster, plus exactly-once through a sentinel failover) instead of the paper experiments")
-		shardQueries   = flag.Int("shard-queries", 4000, "shard: submissions per throughput phase")
-		shardShards    = flag.Int("shard-shards", 4, "shard: primary/replica pairs in the sharded phase")
-		shardConc      = flag.Int("shard-concurrency", 16, "shard: closed-loop submitter goroutines")
-		shardCache     = flag.Int("shard-cache", 64, "shard: per-engine plan/estimate cache entries")
-		shardSched     = flag.String("shard-sched", "SWRD", "shard: pool scheduler (HCS|HFS|SWRD)")
-		shardBaseline  = flag.String("shard-baseline", "", "shard: print a delta of this run against a committed BENCH_shard.json baseline")
-		shardScaleGate = flag.Float64("shard-scale-gate", 2.5, "shard: fail when sharded/single throughput scaling falls below this factor derated by min(1, cores/shards) (0 disables)")
-
-		microMode     = flag.Bool("micro", false, "run the microbenchmark + sketch-accuracy gate instead of the paper experiments")
-		microIn       = flag.String("micro-in", "", "micro: parse this `go test -bench` text output (\"\" skips the benchmark gate)")
-		microBaseline = flag.String("micro-baseline", "", "micro: gate this run against a committed BENCH_micro.json baseline")
-		microRebase   = flag.Bool("micro-rebase", false, "micro: rewrite -micro-baseline from this run instead of gating")
-		microTimeGate = flag.Float64("micro-time-gate", 4.0, "micro: fail when ns/op exceeds the baseline times this factor (0 disables; allocs/op always gates hard)")
-		microHLLGate  = flag.Float64("micro-hll-gate", 0.05, "micro: fail when an HLL distinct estimate misses exact by more than this relative error (0 disables)")
-		microSF       = flag.Float64("micro-sf", 0.01, "micro: TPC-H scale factor for the accuracy replay")
-
-		netMode     = flag.Bool("net", false, "run the network-frontend benchmark (real TCP sockets, RESP-style protocol) instead of the paper experiments")
-		netConns    = flag.Int("net-conns", 8, "net: client connections")
-		netQueries  = flag.Int("net-queries", 400, "net: total submissions across all connections")
-		netBaseline = flag.String("net-baseline", "", "net: gate this run against a committed BENCH_net.json baseline")
-		netP99Gate  = flag.Float64("net-p99-gate", 1.5, "net: fail when p99 exceeds the baseline's p99 times this factor (0 disables; needs -net-baseline)")
+		microIn = flag.String("micro-in", "", "micro: parse this `go test -bench` text output (\"\" skips the benchmark gates)")
+		microSF = flag.Float64("micro-sf", 0.01, "micro: TPC-H scale factor for the accuracy replay")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"benchrunner regenerates the paper's evaluation artifacts (Tables 2-5,\n"+
-				"Figures 2 and 5-8) from the simulated substrate, and hosts the fault,\n"+
-				"online-learning and concurrent-serving benchmarks.\n\n"+
+				"Figures 2 and 5-8) from the simulated substrate, and hosts the serving,\n"+
+				"network, shard, micro, fault and online-learning benchmarks. Every\n"+
+				"experiment writes one report schema and exits nonzero when a gate fails.\n\n"+
 				"usage: benchrunner [flags]\n\n"+
 				"examples:\n"+
 				"  benchrunner -exp all\n"+
 				"  benchrunner -exp table3 -queries 1000\n"+
-				"  benchrunner -serve -concurrency 32 -qps 50\n"+
-				"  benchrunner -net -net-conns 16 -net-queries 800\n\n")
+				"  benchrunner -exp serve -concurrency 32 -qps 50\n"+
+				"  benchrunner -exp net -concurrency 16 -queries 800\n"+
+				"  benchrunner -exp shard -baseline testdata/bench_baseline/BENCH_shard.json\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	for _, dir := range []string{*csvDir, *benchDir} {
-		if dir == "" {
-			continue
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
+
+	d, ok := defaults[*exp]
+	if !ok {
+		d = defaults["paper"]
 	}
-	if *faultMode {
-		fc := faultConfig{
-			Seed:          *faultSeed,
-			Rounds:        *faultRounds,
-			GapSec:        *faultGap,
-			MinCompletion: *faultMinComp,
-			Scheduler:     *faultSched,
-			CorpusSeed:    *seed,
+	orDefault := func(v, def int) int {
+		if v == 0 {
+			return def
 		}
-		if err := faultBench(fc, *benchDir, *csvDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
+		return v
 	}
-	if *learnMode {
-		lc := learnConfig{
-			Queries:    *learnQueries,
-			Window:     *learnWindow,
-			MinSamples: *learnMinSamples,
-			Margin:     *learnMargin,
-			PointEvery: *learnPointEvery,
-			Gate:       *learnGate,
-			Seed:       *seed,
-		}
-		if err := learnBench(lc, *benchDir, *csvDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
+	c := config{
+		exp: *exp, queries: orDefault(*queries, d.queries), conc: orDefault(*conc, d.conc),
+		cache: orDefault(*cache, d.cache), workers: *workers, shards: *shards, faultRounds: *faultRounds,
+		learnWindow: *learnWindow, learnMinSamples: *learnMinSamples, learnPointEvery: *learnPointEvery,
+		qps: *qps, gap: *gap, learnMargin: *learnMargin, microSF: *microSF,
+		seed: *seed, faultSeed: *faultSeed,
+		sched: *sched, admin: *admin, spans: *spans, microIn: *microIn,
+		csvDir: *csvDir, traceOut: *traceOut, promOut: *promOut,
+		timeout: *timeout, linger: *linger,
+		out: output{dir: *benchDir},
 	}
-	if *shardMode {
-		sc := shardConfig{
-			Queries:     *shardQueries,
-			Concurrency: *shardConc,
-			Shards:      *shardShards,
-			CacheSize:   *shardCache,
-			Scheduler:   *shardSched,
-			Seed:        *seed,
-			FaultSeed:   *faultSeed,
-			Baseline:    *shardBaseline,
-			ScaleGate:   *shardScaleGate,
-		}
-		if err := shardBench(sc, *benchDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
+	if c.gap == 0 {
+		c.gap = d.gap
 	}
-	if *microMode {
-		mc := microConfig{
-			Input:    *microIn,
-			Baseline: *microBaseline,
-			Rebase:   *microRebase,
-			TimeGate: *microTimeGate,
-			HLLGate:  *microHLLGate,
-			Seed:     *seed,
-			SF:       *microSF,
-		}
-		if err := runMicroBench(mc, *benchDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
+	if err := setup(&c, *baseline, *rebase); err != nil {
+		fmt.Fprintln(os.Stderr, "benchrunner:", err)
+		os.Exit(2)
 	}
-	if *netMode {
-		nc := netConfig{
-			Queries:   *netQueries,
-			Conns:     *netConns,
-			QPS:       *qps,
-			Workers:   *serveWorkers,
-			CacheSize: *serveCache,
-			Scheduler: *serveSched,
-			Seed:      *seed,
-			Baseline:  *netBaseline,
-			P99Gate:   *netP99Gate,
-		}
-		if err := netBench(nc, *benchDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
+	run, ok := benches[c.exp]
+	if !ok {
+		run = paperBench
 	}
-	if *serveMode {
-		sc := serveConfig{
-			Queries:     *serveQueries,
-			Concurrency: *concurrency,
-			QPS:         *qps,
-			Workers:     *serveWorkers,
-			CacheSize:   *serveCache,
-			Scheduler:   *serveSched,
-			Seed:        *seed,
-			Timeout:     *serveTimeout,
-			Admin:       *serveAdmin,
-			Linger:      *serveLinger,
-			SpansOut:    *serveSpans,
-			Baseline:    *serveBaseline,
-		}
-		if err := serveBench(sc, *benchDir); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*exp, *queries, *gap, *seed, *csvDir, *traceOut, *promOut, *benchDir); err != nil {
+	if err := run(c); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
 	}
 }
 
-// benchReport is one experiment's machine-readable result: wall time plus
-// the metrics registry state after it ran. Counters accumulate across a
-// multi-experiment invocation, so each report's metrics are cumulative up
-// to and including its experiment.
-type benchReport struct {
-	Experiment  string                `json:"experiment"`
-	Queries     int                   `json:"corpus_queries"`
-	Seed        uint64                `json:"seed"`
-	WallSeconds float64               `json:"wall_seconds"`
-	Metrics     saqp.RegistrySnapshot `json:"metrics"`
-}
-
-// writeBench writes one BENCH_<name>.json report; a no-op when dir is "".
-func writeBench(dir string, r benchReport) error {
-	if dir == "" {
-		return nil
+// setup creates the output directories and loads the baseline, or
+// marks it for rewriting when rebasing.
+func setup(c *config, baseline string, rebase bool) error {
+	for _, dir := range []string{c.csvDir, c.out.dir} {
+		if dir == "" {
+			continue
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
 	}
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
+	switch {
+	case rebase && baseline == "":
+		return fmt.Errorf("-rebase needs -baseline")
+	case rebase:
+		c.out.rebase = baseline
+	case baseline != "":
+		base, err := load(baseline)
+		if err != nil {
+			return fmt.Errorf("baseline: %w", err)
+		}
+		if base.Experiment != c.exp {
+			return fmt.Errorf("baseline %s is a %q report, not %q", baseline, base.Experiment, c.exp)
+		}
+		c.out.base = base
 	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+r.Experiment+".json"), append(data, '\n'), 0o644)
+	return nil
 }
 
 // writeCSV writes rows (first row = header) to <dir>/<name>.csv; a no-op
@@ -265,16 +204,21 @@ func writeCSV(dir, name string, rows [][]string) error {
 // f2 formats a float for CSV.
 func f2(v float64) string { return strconv.FormatFloat(v, 'f', 4, 64) }
 
-func run(exp string, queries int, gap float64, seed uint64, csvDir, traceOut, promOut, benchDir string) error {
+// paperBench regenerates the paper's tables and figures, writing one
+// report per artifact: its wall time plus the metrics registry after it
+// ran. Counters accumulate across a multi-experiment invocation, so
+// each registry snapshot is cumulative up to and including its
+// experiment.
+func paperBench(c config) error {
 	cfg := saqp.DefaultExperimentConfig()
-	cfg.CorpusQueries = queries
-	cfg.Seed = seed
+	cfg.CorpusQueries = c.queries
+	cfg.Seed = c.seed
 
 	var traceFile *os.File
-	if traceOut != "" || promOut != "" || benchDir != "" {
+	if c.traceOut != "" || c.promOut != "" || c.out.dir != "" {
 		var sink *saqp.TraceSink
-		if traceOut != "" {
-			f, err := os.Create(traceOut)
+		if c.traceOut != "" {
+			f, err := os.Create(c.traceOut)
 			if err != nil {
 				return err
 			}
@@ -289,8 +233,8 @@ func run(exp string, queries int, gap float64, seed uint64, csvDir, traceOut, pr
 		"fig2": true, "fig6": true, "fig7": true, "fig8": true, "all": true,
 	}
 	var art *saqp.TrainedArtifacts
-	if needModels[exp] {
-		fmt.Printf("Building corpus (%d queries) and training models...\n\n", queries)
+	if needModels[c.exp] {
+		fmt.Printf("Building corpus (%d queries) and training models...\n\n", c.queries)
 		var err error
 		art, err = saqp.BuildTrainedArtifacts(cfg)
 		if err != nil {
@@ -298,11 +242,11 @@ func run(exp string, queries int, gap float64, seed uint64, csvDir, traceOut, pr
 		}
 	}
 
-	type runner struct {
+	csvDir := c.csvDir
+	runners := []struct {
 		name string
 		fn   func() error
-	}
-	runners := []runner{
+	}{
 		{"table2", func() error { return table2(csvDir) }},
 		{"fig5", func() error { return fig5(csvDir) }},
 		{"table3", func() error { return table3(art, csvDir) }},
@@ -311,28 +255,30 @@ func run(exp string, queries int, gap float64, seed uint64, csvDir, traceOut, pr
 		{"table5", func() error { return table45(art, true, csvDir) }},
 		{"fig7", func() error { return fig7(art, cfg, csvDir) }},
 		{"fig2", func() error { return fig2(art, cfg, csvDir) }},
-		{"fig8", func() error { return fig8(art, cfg, gap, csvDir) }},
+		{"fig8", func() error { return fig8(art, cfg, c.gap, csvDir) }},
 	}
 	ran := false
 	for _, r := range runners {
-		if exp == "all" || exp == r.name {
-			begin := time.Now()
-			if err := r.fn(); err != nil {
-				return fmt.Errorf("%s: %w", r.name, err)
-			}
-			report := benchReport{Experiment: r.name, Queries: queries, Seed: seed,
-				WallSeconds: time.Since(begin).Seconds()}
-			if cfg.Observer != nil {
-				report.Metrics = cfg.Observer.Metrics.Snapshot()
-			}
-			if err := writeBench(benchDir, report); err != nil {
-				return fmt.Errorf("%s: %w", r.name, err)
-			}
-			ran = true
+		if c.exp != "all" && c.exp != r.name {
+			continue
 		}
+		begin := time.Now()
+		if err := r.fn(); err != nil {
+			return fmt.Errorf("%s: %w", r.name, err)
+		}
+		rep := newReport(r.name, map[string]any{"corpus_queries": c.queries, "seed": c.seed},
+			map[string]float64{"wall_seconds": time.Since(begin).Seconds()})
+		if cfg.Observer != nil {
+			snap := cfg.Observer.Metrics.Snapshot()
+			rep.Registry = &snap
+		}
+		if err := c.out.finish(rep); err != nil {
+			return fmt.Errorf("%s: %w", r.name, err)
+		}
+		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q", c.exp)
 	}
 	if err := cfg.Observer.Close(); err != nil {
 		return err
@@ -341,10 +287,10 @@ func run(exp string, queries int, gap float64, seed uint64, csvDir, traceOut, pr
 		if err := traceFile.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("\nWrote trace to %s (open in ui.perfetto.dev)\n", traceOut)
+		fmt.Printf("\nWrote trace to %s (open in ui.perfetto.dev)\n", c.traceOut)
 	}
-	if promOut != "" {
-		f, err := os.Create(promOut)
+	if c.promOut != "" {
+		f, err := os.Create(c.promOut)
 		if err != nil {
 			return err
 		}
@@ -355,7 +301,7 @@ func run(exp string, queries int, gap float64, seed uint64, csvDir, traceOut, pr
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("Wrote metrics to %s\n", promOut)
+		fmt.Printf("Wrote metrics to %s\n", c.promOut)
 	}
 	return nil
 }

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,55 +18,21 @@ import (
 	"saqp/internal/selectivity"
 )
 
-// microConfig parameterizes the microbenchmark + sketch-accuracy gate.
-type microConfig struct {
-	Input    string  // `go test -bench` text output to parse ("" = skip benchmarks)
-	Baseline string  // committed BENCH_micro.json to gate against ("" = no gate)
-	Rebase   bool    // rewrite the baseline from this run instead of gating
-	TimeGate float64 // fail when ns/op exceeds baseline ns/op times this factor (0 disables)
-	HLLGate  float64 // fail when any column's HLL distinct estimate misses exact by more than this relative error
-	Seed     uint64  // dataset seed for the accuracy replay
-	SF       float64 // scale factor for the accuracy replay
-}
+// microTimeGate is how far a benchmark's ns/op may exceed its baseline
+// (machine variance); allocs/op always gates hard.
+const microTimeGate = 4.0
 
-// microBench is one parsed benchmark line.
-type microBench struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// microReport is BENCH_micro.json: benchstat-derived per-op costs plus
-// the sketch-accuracy replay (HLL vs exact distincts, exact-vs-sketch
-// estimator divergence, and the Bloom-pruned shuffle equivalence).
-type microReport struct {
-	Experiment string  `json:"experiment"`
-	Seed       uint64  `json:"seed"`
-	SF         float64 `json:"sf"`
-
-	Benchmarks []microBench `json:"benchmarks"`
-
-	HLLColumns   int     `json:"hll_columns"`
-	HLLMaxRelErr float64 `json:"hll_max_rel_err"`
-
-	EstimatorJobs       int     `json:"estimator_jobs"`
-	EstimatorSketchCols int     `json:"estimator_sketch_cols"`
-	MaxISDiff           float64 `json:"estimator_max_is_diff"`
-	MaxFSDiff           float64 `json:"estimator_max_fs_diff"`
-	MaxOutRowsRelErr    float64 `json:"estimator_max_outrows_rel_err"`
-
-	BloomQueries    int     `json:"bloom_queries"`
-	BloomProbed     int64   `json:"bloom_probed"`
-	BloomPruned     int64   `json:"bloom_pruned"`
-	BloomPruneShare float64 `json:"bloom_prune_share"`
-	BloomMismatches int     `json:"bloom_mismatches"`
-}
+// microHLLGate bounds the relative error of every HLL distinct estimate
+// against the exact count.
+const microHLLGate = 0.05
 
 // parseBenchText extracts Benchmark* result lines from `go test -bench
-// -benchmem` output: name, iteration count, then value/unit pairs.
-func parseBenchText(data string) []microBench {
-	var out []microBench
+// -benchmem` output — name, iteration count, then value/unit pairs —
+// as <Benchmark>.ns_per_op, .bytes_per_op and .allocs_per_op metrics.
+// A unit missing from a line reads as 0.
+func parseBenchText(data string) map[string]float64 {
+	units := map[string]string{"ns/op": ".ns_per_op", "B/op": ".bytes_per_op", "allocs/op": ".allocs_per_op"}
+	out := map[string]float64{}
 	for _, line := range strings.Split(data, "\n") {
 		fields := strings.Fields(line)
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -80,24 +44,21 @@ func parseBenchText(data string) []microBench {
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			name = name[:i]
 		}
-		b := microBench{Name: name}
+		for _, suffix := range units {
+			out[name+suffix] = 0
+		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			suffix, ok := units[fields[i+1]]
+			if err != nil || !ok {
 				continue
 			}
-			switch fields[i+1] {
-			case "ns/op":
-				b.NsPerOp = v
-			case "B/op":
-				b.BytesPerOp = int64(v)
-			case "allocs/op":
-				b.AllocsPerOp = int64(v)
+			if suffix != ".ns_per_op" {
+				v = float64(int64(v)) // whole bytes and allocations
 			}
+			out[name+suffix] = v
 		}
-		out = append(out, b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -147,18 +108,17 @@ func compileTPCH() (map[string]*plan.DAG, error) {
 }
 
 // microEstimatorDivergence prices every TPC-H plan under the exact and
-// sketch tiers of the same collected catalog and reports the worst
+// sketch tiers of the same collected catalog and records the worst
 // absolute IS/FS differences and the worst join/group output-cardinality
 // relative error.
-func microEstimatorDivergence(cat *catalog.Catalog, dags map[string]*plan.DAG, r *microReport) error {
+func microEstimatorDivergence(cat *catalog.Catalog, dags map[string]*plan.DAG, m map[string]float64) error {
 	exact := selectivity.NewEstimator(cat, selectivity.Config{})
 	sk := selectivity.NewEstimator(cat, selectivity.Config{Stats: selectivity.StatsSketch})
-	names := make([]string, 0, len(dags))
-	for n := range dags {
-		names = append(names, n)
+	for _, k := range []string{"estimator_jobs", "estimator_sketch_cols", "estimator_max_is_diff",
+		"estimator_max_fs_diff", "estimator_max_outrows_rel_err"} {
+		m[k] = 0
 	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(dags) {
 		qeE, err := exact.EstimateQuery(dags[name])
 		if err != nil {
 			return fmt.Errorf("%s exact: %w", name, err)
@@ -167,19 +127,29 @@ func microEstimatorDivergence(cat *catalog.Catalog, dags map[string]*plan.DAG, r
 		if err != nil {
 			return fmt.Errorf("%s sketch: %w", name, err)
 		}
-		r.EstimatorSketchCols += qeS.SketchCols
+		m["estimator_sketch_cols"] += float64(qeS.SketchCols)
 		for i, je := range qeS.Jobs {
 			ex := qeE.Jobs[i]
-			r.EstimatorJobs++
-			r.MaxISDiff = math.Max(r.MaxISDiff, math.Abs(je.IS-ex.IS))
-			r.MaxFSDiff = math.Max(r.MaxFSDiff, math.Abs(je.FS-ex.FS))
+			m["estimator_jobs"]++
+			m["estimator_max_is_diff"] = math.Max(m["estimator_max_is_diff"], math.Abs(je.IS-ex.IS))
+			m["estimator_max_fs_diff"] = math.Max(m["estimator_max_fs_diff"], math.Abs(je.FS-ex.FS))
 			if ex.OutRows > 0 {
 				rel := math.Abs(je.OutRows-ex.OutRows) / ex.OutRows
-				r.MaxOutRowsRelErr = math.Max(r.MaxOutRowsRelErr, rel)
+				m["estimator_max_outrows_rel_err"] = math.Max(m["estimator_max_outrows_rel_err"], rel)
 			}
 		}
 	}
 	return nil
+}
+
+// sortedNames is dags' query names in order.
+func sortedNames(dags map[string]*plan.DAG) []string {
+	names := make([]string, 0, len(dags))
+	for n := range dags {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // microFrameEqual reports whether two result frames match exactly.
@@ -205,8 +175,8 @@ func microFrameEqual(a, b *mapreduce.Frame) bool {
 // microBloomReplay runs every TPC-H query through the engine with Bloom
 // semi-join pruning off and on. Any output divergence is a false
 // negative (a matching tuple the filter dropped) and counts as a
-// mismatch; probe/prune volumes aggregate into the report.
-func microBloomReplay(cfg microConfig, dags map[string]*plan.DAG, r *microReport) error {
+// mismatch; probe/prune volumes aggregate into m.
+func microBloomReplay(sf float64, seed uint64, dags map[string]*plan.DAG, m map[string]float64) error {
 	reg := obs.NewRegistry()
 	base := mapreduce.New(mapreduce.Config{BlockSize: 64 << 10, NumReducers: 4})
 	pruned := mapreduce.New(mapreduce.Config{
@@ -214,16 +184,13 @@ func microBloomReplay(cfg microConfig, dags map[string]*plan.DAG, r *microReport
 		BloomPrune: true, Observer: &obs.Observer{Metrics: reg},
 	})
 	for _, s := range dataset.TPCH() {
-		rel := dataset.Generate(s, cfg.SF, cfg.Seed)
+		rel := dataset.Generate(s, sf, seed)
 		base.Register(rel)
 		pruned.Register(rel)
 	}
-	names := make([]string, 0, len(dags))
-	for n := range dags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	var queries, mismatches int
+	var probed, prunedRows int64
+	for _, name := range sortedNames(dags) {
 		want, err := base.RunQuery(dags[name])
 		if err != nil {
 			return fmt.Errorf("%s exact: %w", name, err)
@@ -232,142 +199,96 @@ func microBloomReplay(cfg microConfig, dags map[string]*plan.DAG, r *microReport
 		if err != nil {
 			return fmt.Errorf("%s pruned: %w", name, err)
 		}
-		r.BloomQueries++
+		queries++
 		if !microFrameEqual(got.Final, want.Final) {
-			r.BloomMismatches++
+			mismatches++
 			fmt.Fprintf(os.Stderr, "micro: %s: pruned output diverged (false negative)\n", name)
 		}
 		for _, s := range got.Stats {
-			r.BloomProbed += s.BloomProbed
-			r.BloomPruned += s.BloomPruned
+			probed += s.BloomProbed
+			prunedRows += s.BloomPruned
 		}
 	}
-	if r.BloomProbed > 0 {
-		r.BloomPruneShare = float64(r.BloomPruned) / float64(r.BloomProbed)
+	share := 0.0
+	if probed > 0 {
+		share = float64(prunedRows) / float64(probed)
 	}
 	snap := reg.Snapshot()
-	if int64(snap.Counters[obs.MSketchBloomProbes]) != r.BloomProbed {
+	if int64(snap.Counters[obs.MSketchBloomProbes]) != probed {
 		return fmt.Errorf("observer probe counter %v != engine stats %d",
-			snap.Counters[obs.MSketchBloomProbes], r.BloomProbed)
+			snap.Counters[obs.MSketchBloomProbes], probed)
 	}
+	m["bloom_queries"], m["bloom_mismatches"] = float64(queries), float64(mismatches)
+	m["bloom_probed"], m["bloom_pruned"], m["bloom_prune_share"] = float64(probed), float64(prunedRows), share
 	return nil
 }
 
-// microGate compares this run against the committed baseline: allocs/op
-// may never regress (hard), ns/op may drift up to TimeGate× (machine
-// variance), and every baseline benchmark must still exist.
-func microGate(cfg microConfig, r *microReport) error {
-	data, err := os.ReadFile(cfg.Baseline)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base microReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline: %w", err)
-	}
-	cur := make(map[string]microBench, len(r.Benchmarks))
-	for _, b := range r.Benchmarks {
-		cur[b.Name] = b
-	}
-	var failures []string
-	for _, bb := range base.Benchmarks {
-		b, ok := cur[bb.Name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: present in baseline but not in this run", bb.Name))
-			continue
-		}
-		// 5% relative slack absorbs per-iteration amortization noise
-		// while keeping zero-alloc benchmarks strict: 0 + 0/20 = 0.
-		if b.AllocsPerOp > bb.AllocsPerOp+bb.AllocsPerOp/20 {
-			failures = append(failures, fmt.Sprintf("%s: %d allocs/op, baseline %d (allocation regression)",
-				b.Name, b.AllocsPerOp, bb.AllocsPerOp))
-		}
-		if cfg.TimeGate > 0 && bb.NsPerOp > 0 && b.NsPerOp > bb.NsPerOp*cfg.TimeGate {
-			failures = append(failures, fmt.Sprintf("%s: %.1f ns/op exceeds baseline %.1f x %.1f",
-				b.Name, b.NsPerOp, bb.NsPerOp, cfg.TimeGate))
-		}
-	}
-	if len(failures) > 0 {
-		return fmt.Errorf("baseline gate failed:\n  %s", strings.Join(failures, "\n  "))
-	}
-	return nil
-}
-
-// microBench runs the full micro gate: parse benchmark output, replay
-// the sketch-accuracy checks, write BENCH_micro.json, and enforce the
-// committed baseline (or rebase it).
-func runMicroBench(cfg microConfig, benchDir string) error {
-	r := &microReport{Experiment: "micro", Seed: cfg.Seed, SF: cfg.SF}
-	if cfg.Input != "" {
-		data, err := os.ReadFile(cfg.Input)
+// microBench parses the benchmark output, replays the sketch-accuracy
+// checks, and gates both: accuracy always, per-op costs against the
+// baseline when one is given.
+func microBench(c config) error {
+	m := map[string]float64{}
+	if c.microIn != "" {
+		data, err := os.ReadFile(c.microIn)
 		if err != nil {
 			return fmt.Errorf("reading bench output: %w", err)
 		}
-		r.Benchmarks = parseBenchText(string(data))
-		if len(r.Benchmarks) == 0 {
-			return fmt.Errorf("no Benchmark lines found in %s", cfg.Input)
+		if m = parseBenchText(string(data)); len(m) == 0 {
+			return fmt.Errorf("no Benchmark lines found in %s", c.microIn)
 		}
 	}
+	benchmarks := len(m) / 3
 
-	cat := catalog.CollectAll(dataset.TPCH(), cfg.SF, cfg.Seed, catalog.DefaultBuckets)
-	r.HLLColumns, r.HLLMaxRelErr = microHLLAccuracy(cat)
+	cat := catalog.CollectAll(dataset.TPCH(), c.microSF, c.seed, catalog.DefaultBuckets)
+	cols, worst := microHLLAccuracy(cat)
+	m["hll_columns"], m["hll_max_rel_err"] = float64(cols), worst
 
 	dags, err := compileTPCH()
 	if err != nil {
 		return err
 	}
-	if err := microEstimatorDivergence(cat, dags, r); err != nil {
+	if err := microEstimatorDivergence(cat, dags, m); err != nil {
 		return err
 	}
-	if err := microBloomReplay(cfg, dags, r); err != nil {
+	if err := microBloomReplay(c.microSF, c.seed, dags, m); err != nil {
 		return err
 	}
 
-	fmt.Printf("micro: %d benchmarks, HLL max rel err %.4f over %d columns\n",
-		len(r.Benchmarks), r.HLLMaxRelErr, r.HLLColumns)
-	fmt.Printf("micro: estimator divergence over %d jobs: |ΔIS| ≤ %.4f |ΔFS| ≤ %.4f, out-rows rel ≤ %.4f (%d sketch cols)\n",
-		r.EstimatorJobs, r.MaxISDiff, r.MaxFSDiff, r.MaxOutRowsRelErr, r.EstimatorSketchCols)
-	fmt.Printf("micro: bloom replay over %d queries: %d probed, %d pruned (%.1f%%), %d mismatches\n",
-		r.BloomQueries, r.BloomProbed, r.BloomPruned, 100*r.BloomPruneShare, r.BloomMismatches)
+	fmt.Printf("micro: %d benchmarks, HLL max rel err %.4f over %d columns\n", benchmarks, worst, cols)
+	fmt.Printf("micro: estimator divergence over %g jobs: |ΔIS| ≤ %.4f |ΔFS| ≤ %.4f, out-rows rel ≤ %.4f (%g sketch cols)\n",
+		m["estimator_jobs"], m["estimator_max_is_diff"], m["estimator_max_fs_diff"],
+		m["estimator_max_outrows_rel_err"], m["estimator_sketch_cols"])
+	fmt.Printf("micro: bloom replay over %g queries: %g probed, %g pruned (%.1f%%), %g mismatches\n",
+		m["bloom_queries"], m["bloom_probed"], m["bloom_pruned"], 100*m["bloom_prune_share"], m["bloom_mismatches"])
 
-	if benchDir != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(benchDir, "BENCH_micro.json"), append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-	}
+	r := newReport("micro", map[string]any{"seed": c.seed, "sf": c.microSF}, m)
+	r.Gates = microGates(c.out.base)
+	return c.out.finish(r)
+}
 
-	// Accuracy gates are unconditional: they depend only on the seed and
-	// scale factor, not on machine speed.
-	if cfg.HLLGate > 0 && r.HLLMaxRelErr > cfg.HLLGate {
-		return fmt.Errorf("HLL distinct estimates drifted: max rel err %.4f > %.4f", r.HLLMaxRelErr, cfg.HLLGate)
+// microGates: the accuracy gates depend only on the seed and scale
+// factor, not on machine speed, so they always apply. Against a
+// baseline, every baseline benchmark must still exist, allocs/op may
+// never regress beyond 5% integer slack (so zero-alloc benchmarks stay
+// strict: 0 + 0/20 = 0), and ns/op may drift up to microTimeGate×.
+func microGates(base *report) []gate {
+	g := []gate{{"hll_max_rel_err", "<=", microHLLGate}, {"bloom_mismatches", "<=", 0}}
+	if base == nil {
+		return g
 	}
-	if r.BloomMismatches > 0 {
-		return fmt.Errorf("bloom pruning produced %d false-negative result divergences", r.BloomMismatches)
+	var names []string
+	for k := range base.Metrics {
+		if name, ok := strings.CutSuffix(k, ".allocs_per_op"); ok {
+			names = append(names, name)
+		}
 	}
-
-	if cfg.Rebase {
-		if cfg.Baseline == "" {
-			return fmt.Errorf("-micro-rebase needs -micro-baseline")
+	sort.Strings(names)
+	for _, name := range names {
+		allocs := int64(base.Metrics[name+".allocs_per_op"])
+		g = append(g, gate{name + ".allocs_per_op", "<=", float64(allocs + allocs/20)})
+		if ns := base.Metrics[name+".ns_per_op"]; ns > 0 {
+			g = append(g, gate{name + ".ns_per_op", "<=", ns * microTimeGate})
 		}
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.Baseline, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("micro: baseline rebased to %s\n", cfg.Baseline)
-		return nil
 	}
-	if cfg.Baseline != "" {
-		if err := microGate(cfg, r); err != nil {
-			return err
-		}
-		fmt.Printf("micro: baseline gate passed (%s)\n", cfg.Baseline)
-	}
-	return nil
+	return g
 }

@@ -2,186 +2,75 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"math"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"saqp"
 )
 
-// netConfig parameterizes the network-frontend benchmark.
-type netConfig struct {
-	Queries   int     // total submissions across all connections
-	Conns     int     // client connections
-	QPS       float64 // open-loop arrival rate; 0 = closed-loop
-	Workers   int     // simulator pool size
-	CacheSize int     // plan/estimate cache entries
-	Scheduler string  // pool scheduler name
-	Seed      uint64
-
-	Baseline string  // committed BENCH_net.json to gate against; "" = no gate
-	P99Gate  float64 // fail when p99 exceeds baseline p99 times this factor; 0 disables
-}
-
-// netReport is BENCH_net.json: end-to-end wire performance (parse +
-// socket + serving) plus completion accounting from both sides of the
-// protocol.
-type netReport struct {
-	Experiment string  `json:"experiment"`
-	Queries    int     `json:"queries"`
-	Conns      int     `json:"client_conns"`
-	QPS        float64 `json:"target_qps"`
-	Workers    int     `json:"pool_workers"`
-	CacheSize  int     `json:"cache_size"`
-	Scheduler  string  `json:"scheduler"`
-	Seed       uint64  `json:"seed"`
-
-	WallSeconds   float64 `json:"wall_seconds"`
-	ThroughputQPS float64 `json:"achieved_qps"`
-	LatencyP50Ms  float64 `json:"latency_p50_ms"`
-	LatencyP95Ms  float64 `json:"latency_p95_ms"`
-	LatencyP99Ms  float64 `json:"latency_p99_ms"`
-	LatencyMaxMs  float64 `json:"latency_max_ms"`
-
-	Submitted       uint64  `json:"submitted"`
-	Completed       uint64  `json:"completed"`
-	Rejected        uint64  `json:"rejected"`
-	Errors          uint64  `json:"errors"`
-	ClientCompleted int64   `json:"client_completed"`
-	ClientBusy      int64   `json:"client_busy"`
-	ClientErrors    int64   `json:"client_errors"`
-	Lost            int64   `json:"lost_completions"`
-	CacheHitRate    float64 `json:"cache_hit_rate"`
-
-	Metrics saqp.RegistrySnapshot `json:"metrics"`
-}
-
 // netDrainTimeout bounds the frontend's graceful drain at benchmark
 // end.
 const netDrainTimeout = 30 * time.Second
 
+// netP99Gate is how far p99 may exceed the baseline's p99. Wall-clock
+// numbers vary across machines, so the gate is deliberately loose — it
+// catches order-of-magnitude protocol regressions, not noise.
+const netP99Gate = 1.5
+
 // netBench drives the TCP frontend over real sockets: a trained
-// framework serves behind a NetServer on loopback while N client
-// connections replay the TPC-H mix as an open-loop arrival process,
-// each SUBMITting and WAITing over the wire. Latency therefore
-// includes encode, socket, parse and serving time — the number the
-// in-process serve benchmark cannot see.
-func netBench(nc netConfig, benchDir string) error {
-	fmt.Printf("Building framework and training models for the net benchmark...\n")
-	fw, err := saqp.NewFramework(saqp.Options{Observer: saqp.NewObserver(nil)})
+// framework serves behind a NetServer on loopback while one client
+// connection per submitter replays the TPC-H mix, each SUBMITting and
+// WAITing over the wire. Latency therefore includes encode, socket,
+// parse and serving time — the number the in-process serve benchmark
+// cannot see.
+func netBench(c config) error {
+	fw, m, err := trainedMix("net", c.seed)
 	if err != nil {
 		return err
 	}
-	if err := fw.TrainDefault(); err != nil {
-		return err
-	}
-	srv, err := fw.NewServer(saqp.ServerOptions{
-		Workers:   nc.Workers,
-		CacheSize: nc.CacheSize,
-		Scheduler: nc.Scheduler,
-	})
+	srv, err := fw.NewServer(saqp.ServerOptions{Workers: c.workers, CacheSize: c.cache, Scheduler: c.sched})
 	if err != nil {
 		return err
 	}
-	ns, err := fw.NewNetServer(srv, saqp.NetOptions{
-		Addr:     "127.0.0.1:0",
-		MaxConns: nc.Conns + 8,
-	})
+	ns, err := fw.NewNetServer(srv, saqp.NetOptions{Addr: "127.0.0.1:0", MaxConns: c.conc + 8})
 	if err != nil {
 		srv.Close()
 		return err
 	}
-
-	names := saqp.TPCHNames()
-	mix := make([]string, len(names))
-	for i, n := range names {
-		sql, err := saqp.TPCHSQL(n)
-		if err != nil {
-			return err
-		}
-		mix[i] = sql
-	}
-
 	fmt.Printf("Serving %d queries over TCP %s (%d client conns, %d pool workers, %s, qps=%g)...\n",
-		nc.Queries, ns.Addr(), nc.Conns, nc.Workers, nc.Scheduler, nc.QPS)
-
-	// Pacer: open-loop arrivals released on a fixed schedule regardless
-	// of completion speed; QPS=0 drains as fast as the clients can go.
-	arrivals := make(chan int, nc.Queries)
-	go func() {
-		defer close(arrivals)
-		if nc.QPS <= 0 {
-			for i := 0; i < nc.Queries; i++ {
-				arrivals <- i
-			}
-			return
+		c.queries, ns.Addr(), c.conc, c.workers, c.sched, c.qps)
+	// One connection per submitter, dialed before the clock starts.
+	conns := make([]*saqp.NetClient, c.conc)
+	var dialErr error
+	for w := range conns {
+		if conns[w], dialErr = saqp.DialNet(ns.Addr()); dialErr != nil {
+			break
 		}
-		interval := time.Duration(float64(time.Second) / nc.QPS)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for i := 0; i < nc.Queries; i++ {
-			arrivals <- i
-			<-tick.C
-		}
-	}()
-
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		done      int64
-		busy      int64
-		cerrs     int64
-	)
-	begin := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < nc.Conns; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := saqp.DialNet(ns.Addr())
-			if err != nil {
-				atomic.AddInt64(&cerrs, 1)
-				for range arrivals {
-					// Keep draining so other connections see every arrival.
-				}
-				return
-			}
-			defer cl.Close()
-			for i := range arrivals {
-				// Seeds cycle with the mix so repeated queries share both
-				// SQL and ground-truth cost: cache hits are real hits.
-				sql := mix[i%len(mix)]
-				seed := nc.Seed + uint64(i%len(mix))
-				t0 := time.Now()
-				id, err := cl.Submit(sql, seed)
-				if err != nil {
-					if saqp.IsNetBusy(err) {
-						atomic.AddInt64(&busy, 1)
-					} else {
-						atomic.AddInt64(&cerrs, 1)
-					}
-					continue
-				}
-				if _, err := cl.Wait(id); err != nil {
-					atomic.AddInt64(&cerrs, 1)
-					continue
-				}
-				lat := time.Since(t0)
-				mu.Lock()
-				latencies = append(latencies, lat)
-				done++
-				mu.Unlock()
-			}
-		}()
 	}
-	wg.Wait()
-	wall := time.Since(begin).Seconds()
+	var (
+		ld   runStats
+		busy atomic.Int64
+	)
+	if dialErr == nil {
+		ld = drive(c.queries, c.conc, c.qps, func(w, i int) error {
+			sql, seed := m.at(i)
+			id, err := conns[w].Submit(sql, seed)
+			if err != nil {
+				if saqp.IsNetBusy(err) {
+					busy.Add(1)
+				}
+				return err
+			}
+			_, err = conns[w].Wait(id)
+			return err
+		})
+	}
+	for _, cl := range conns {
+		if cl != nil {
+			cl.Close()
+		}
+	}
 
 	st := srv.Stats()
 	ctx, cancel := context.WithTimeout(context.Background(), netDrainTimeout)
@@ -192,120 +81,52 @@ func netBench(nc netConfig, benchDir string) error {
 	if err := srv.Close(); err != nil {
 		return err
 	}
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) float64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(math.Ceil(p*float64(len(latencies)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return float64(latencies[i]) / float64(time.Millisecond)
+	if dialErr != nil {
+		return fmt.Errorf("net: dialing %s: %w", ns.Addr(), dialErr)
 	}
-	// Exactly-once accounting across the wire: every admitted submission
-	// must complete AND be observed by exactly one successful client WAIT.
-	lost := int64(st.Submitted) - done
 
-	r := netReport{
-		Experiment: "net",
-		Queries:    nc.Queries,
-		Conns:      nc.Conns,
-		QPS:        nc.QPS,
-		Workers:    nc.Workers,
-		CacheSize:  nc.CacheSize,
-		Scheduler:  nc.Scheduler,
-		Seed:       nc.Seed,
-
-		WallSeconds:   wall,
-		ThroughputQPS: float64(done) / wall,
-		LatencyP50Ms:  pct(0.50),
-		LatencyP95Ms:  pct(0.95),
-		LatencyP99Ms:  pct(0.99),
-		LatencyMaxMs:  pct(1.0),
-
-		Submitted:       st.Submitted,
-		Completed:       st.Completed,
-		Rejected:        st.Rejected,
-		Errors:          st.Errors,
-		ClientCompleted: done,
-		ClientBusy:      busy,
-		ClientErrors:    cerrs,
-		Lost:            lost,
-		CacheHitRate:    st.HitRate(),
-
-		Metrics: fw.Obs.Metrics.Snapshot(),
-	}
+	r := newReport("net", map[string]any{
+		"queries": c.queries, "client_conns": c.conc, "target_qps": c.qps, "pool_workers": c.workers,
+		"cache_size": c.cache, "scheduler": c.sched, "seed": c.seed,
+	}, map[string]float64{
+		"submitted": float64(st.Submitted), "completed": float64(st.Completed),
+		"rejected": float64(st.Rejected), "errors": float64(st.Errors),
+		"client_completed": float64(ld.done()), "client_busy": float64(busy.Load()),
+		"client_errors": float64(ld.fails - busy.Load()),
+		// Exactly-once accounting across the wire: every admitted
+		// submission must be observed by exactly one successful WAIT.
+		"lost_completions": float64(int64(st.Submitted) - ld.done()),
+		"cache_hit_rate":   st.HitRate(),
+	})
+	ld.latencyMetrics(r.Metrics)
+	r.Gates = netGates(c.queries, r.Metrics, c.out.base)
+	snap := fw.Obs.Metrics.Snapshot()
+	r.Registry = &snap
 
 	fmt.Printf("served %d/%d queries over the wire in %.2fs (%.1f q/s)\n",
-		st.Completed, nc.Queries, wall, r.ThroughputQPS)
-	fmt.Printf("latency p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms (incl. socket+parse)\n",
-		r.LatencyP50Ms, r.LatencyP95Ms, r.LatencyP99Ms, r.LatencyMaxMs)
-	fmt.Printf("cache hit-rate %.1f%% — busy=%d client-errors=%d\n", 100*r.CacheHitRate, busy, cerrs)
-
-	if benchDir != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(benchDir, "BENCH_net.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-
-	// CI gates. Completion first: at default load nothing may be lost,
-	// refused, or errored — 100% of submissions complete and are seen.
-	if lost != 0 {
-		return fmt.Errorf("net: lost completions: %d", lost)
-	}
-	if done != int64(nc.Queries) || busy != 0 || cerrs != 0 {
-		return fmt.Errorf("net: incomplete run: completed=%d/%d busy=%d client-errors=%d",
-			done, nc.Queries, busy, cerrs)
-	}
-	if st.Submitted != st.Completed || st.Errors != 0 || st.Rejected != 0 {
-		return fmt.Errorf("net: engine accounting mismatch: submitted=%d completed=%d rejected=%d errors=%d",
-			st.Submitted, st.Completed, st.Rejected, st.Errors)
-	}
-	if nc.Baseline != "" {
-		if err := netBaselineGate(nc.Baseline, r, nc.P99Gate); err != nil {
-			return err
-		}
-	}
-	return nil
+		st.Completed, c.queries, ld.wall, r.Metrics["achieved_qps"])
+	fmt.Printf("latency p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms (incl. socket+parse)\n", r.Metrics["latency_p50_ms"],
+		r.Metrics["latency_p95_ms"], r.Metrics["latency_p99_ms"], r.Metrics["latency_max_ms"])
+	fmt.Printf("cache hit-rate %.1f%% — busy=%d client-errors=%g\n",
+		100*st.HitRate(), busy.Load(), r.Metrics["client_errors"])
+	return c.out.finish(r)
 }
 
-// netBaselineGate diffs this run against a committed BENCH_net.json
-// and fails when p99 regressed beyond the gate factor. Wall-clock
-// numbers vary across machines, so the gate is deliberately loose —
-// it catches order-of-magnitude protocol regressions, not noise.
-func netBaselineGate(path string, r netReport, gate float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("net: reading baseline: %w", err)
+// netGates: at the default load nothing may be lost, refused or
+// errored — every submission completes and is seen — and with a
+// baseline, p99 may not exceed the baseline's by more than netP99Gate.
+func netGates(queries int, m map[string]float64, base *report) []gate {
+	g := []gate{
+		{"lost_completions", "==", 0},
+		{"client_completed", "==", float64(queries)},
+		{"client_busy", "==", 0},
+		{"client_errors", "==", 0},
+		{"completed", "==", m["submitted"]},
+		{"errors", "==", 0},
+		{"rejected", "==", 0},
 	}
-	var base netReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("net: parsing baseline %s: %w", path, err)
+	if base != nil && base.Metrics["latency_p99_ms"] > 0 {
+		g = append(g, gate{"latency_p99_ms", "<=", base.Metrics["latency_p99_ms"] * netP99Gate})
 	}
-	fmt.Printf("delta vs baseline %s:\n", path)
-	row := func(name string, cur, old float64) {
-		d := 0.0
-		if old != 0 {
-			d = 100 * (cur - old) / old
-		}
-		fmt.Printf("  %-18s %10.2f  baseline %10.2f  (%+.1f%%)\n", name, cur, old, d)
-	}
-	row("throughput q/s", r.ThroughputQPS, base.ThroughputQPS)
-	row("latency p50 ms", r.LatencyP50Ms, base.LatencyP50Ms)
-	row("latency p95 ms", r.LatencyP95Ms, base.LatencyP95Ms)
-	row("latency p99 ms", r.LatencyP99Ms, base.LatencyP99Ms)
-	row("cache hit-rate", r.CacheHitRate, base.CacheHitRate)
-	if gate > 0 && base.LatencyP99Ms > 0 && r.LatencyP99Ms > base.LatencyP99Ms*gate {
-		return fmt.Errorf("net: p99 %.1fms exceeds baseline %.1fms x %.2f gate",
-			r.LatencyP99Ms, base.LatencyP99Ms, gate)
-	}
-	return nil
+	return g
 }

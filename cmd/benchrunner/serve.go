@@ -1,274 +1,101 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
-	"sync"
 	"syscall"
 	"time"
 
 	"saqp"
 )
 
-// serveConfig parameterizes the open-loop serving benchmark.
-type serveConfig struct {
-	Queries     int     // total submissions
-	Concurrency int     // submitter goroutines
-	QPS         float64 // arrival rate; 0 = closed-loop (as fast as possible)
-	Workers     int     // simulator pool size
-	CacheSize   int     // plan/estimate cache entries
-	Scheduler   string  // pool scheduler name
-	Seed        uint64
-	Timeout     time.Duration // per-query wall-clock timeout; 0 = none
-
-	Admin    string        // admin endpoint address; "" = no admin server
-	Linger   time.Duration // keep the server up this long after the bench
-	SpansOut string        // span-tree JSON output path; "" = spans off unless Admin is set
-	Baseline string        // committed BENCH_serve.json to diff against; "" = no diff
-}
-
-// serveReport is BENCH_serve.json: wall-clock serving performance plus
-// the engine's own counters and the deterministic metrics snapshot.
-type serveReport struct {
-	Experiment  string  `json:"experiment"`
-	Queries     int     `json:"queries"`
-	Concurrency int     `json:"concurrency"`
-	QPS         float64 `json:"target_qps"`
-	Workers     int     `json:"pool_workers"`
-	CacheSize   int     `json:"cache_size"`
-	Scheduler   string  `json:"scheduler"`
-	Seed        uint64  `json:"seed"`
-
-	WallSeconds   float64 `json:"wall_seconds"`
-	ThroughputQPS float64 `json:"achieved_qps"`
-	LatencyP50Ms  float64 `json:"latency_p50_ms"`
-	LatencyP95Ms  float64 `json:"latency_p95_ms"`
-	LatencyP99Ms  float64 `json:"latency_p99_ms"`
-	LatencyMaxMs  float64 `json:"latency_max_ms"`
-
-	Submitted    uint64  `json:"submitted"`
-	Completed    uint64  `json:"completed"`
-	Canceled     uint64  `json:"canceled"`
-	Rejected     uint64  `json:"rejected"`
-	Errors       uint64  `json:"errors"`
-	Lost         int64   `json:"lost_completions"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-
-	SpansStarted  uint64  `json:"spans_started"`
-	SpansFinished uint64  `json:"spans_finished"`
-	SLOFastBurn   float64 `json:"slo_fast_burn"`
-	SLOSlowBurn   float64 `json:"slo_slow_burn"`
-	SLOFiring     bool    `json:"slo_firing"`
-	SLOAlerts     int     `json:"slo_alerts"`
-
-	Metrics saqp.RegistrySnapshot `json:"metrics"`
-}
-
 // serveBench replays the TPC-H query mix through one saqp.Server as an
-// open-loop arrival process: a pacer releases arrivals at the target
-// rate (or immediately when QPS is 0) to a fixed set of submitter
-// goroutines, each of which submits and waits for its completion. Wall
-// clock is measured only here — the engine itself is clock-free.
-func serveBench(sc serveConfig, benchDir string) error {
+// open-loop arrival process (closed-loop when -qps is 0). Wall clock is
+// measured only here — the engine itself is clock-free.
+func serveBench(c config) error {
 	// Register the signal handler before any work so a SIGTERM arriving
 	// mid-benchmark is buffered and ends the linger window immediately.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 
-	fmt.Printf("Building framework and training models for serving...\n")
-	fw, err := saqp.NewFramework(saqp.Options{Observer: saqp.NewObserver(nil)})
+	fw, m, err := trainedMix("serve", c.seed)
 	if err != nil {
 		return err
 	}
-	if err := fw.TrainDefault(); err != nil {
-		return err
-	}
 	srv, err := fw.NewServer(saqp.ServerOptions{
-		Workers:      sc.Workers,
-		CacheSize:    sc.CacheSize,
-		Scheduler:    sc.Scheduler,
-		QueryTimeout: sc.Timeout,
-		TraceSpans:   sc.SpansOut != "",
+		Workers:      c.workers,
+		CacheSize:    c.cache,
+		Scheduler:    c.sched,
+		QueryTimeout: c.timeout,
+		TraceSpans:   c.spans != "",
 		SLO:          &saqp.SLOConfig{},
-		AdminAddr:    sc.Admin,
+		AdminAddr:    c.admin,
 	})
 	if err != nil {
 		return err
 	}
-	if sc.Admin != "" {
+	if c.admin != "" {
 		fmt.Printf("admin endpoint: %s (/metrics /spans /slo /statz /debug/pprof)\n", srv.AdminURL())
 	}
 
-	names := saqp.TPCHNames()
-	mix := make([]string, len(names))
-	for i, n := range names {
-		sql, err := saqp.TPCHSQL(n)
-		if err != nil {
-			return err
-		}
-		mix[i] = sql
-	}
-
 	fmt.Printf("Serving %d queries (%d submitters, %d pool workers, %s, qps=%g)...\n",
-		sc.Queries, sc.Concurrency, sc.Workers, sc.Scheduler, sc.QPS)
-
-	// Pacer: an open-loop arrival process. Arrival indices are released
-	// on a fixed schedule regardless of how fast completions come back;
-	// with QPS=0 the channel is drained as fast as submitters can go.
-	arrivals := make(chan int, sc.Queries)
-	go func() {
-		defer close(arrivals)
-		if sc.QPS <= 0 {
-			for i := 0; i < sc.Queries; i++ {
-				arrivals <- i
-			}
-			return
-		}
-		interval := time.Duration(float64(time.Second) / sc.QPS)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for i := 0; i < sc.Queries; i++ {
-			arrivals <- i
-			<-tick.C
-		}
-	}()
-
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		done      int64
-	)
-	begin := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < sc.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range arrivals {
-				// Seeds cycle with the mix so repeated queries share both
-				// SQL and ground-truth cost: cache hits are real hits.
-				sql := mix[i%len(mix)]
-				seed := sc.Seed + uint64(i%len(mix))
-				t0 := time.Now()
-				tk, err := srv.Submit(context.Background(), sql, seed)
-				if err != nil {
-					continue // counted by the engine as error/rejection
-				}
-				if _, err := tk.Wait(context.Background()); err != nil {
-					continue // counted by the engine as canceled/error
-				}
-				lat := time.Since(t0)
-				mu.Lock()
-				latencies = append(latencies, lat)
-				done++
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(begin).Seconds()
+		c.queries, c.conc, c.workers, c.sched, c.qps)
+	// Errors and cancellations are counted by the engine.
+	ld := drive(c.queries, c.conc, c.qps, submitWait(m, srv.Submit))
 
 	st := srv.Stats()
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	pct := func(p float64) float64 {
-		if len(latencies) == 0 {
-			return 0
-		}
-		i := int(math.Ceil(p*float64(len(latencies)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return float64(latencies[i]) / float64(time.Millisecond)
+	slo := 0.0
+	if st.SLOFiring {
+		slo = 1
 	}
-	// Every submission must be accounted for exactly once: nothing in
-	// this benchmark cancels or errors, so every admitted submission
-	// must complete AND be observed by exactly one successful Wait.
-	lost := int64(st.Submitted) - done
+	r := newReport("serve", map[string]any{
+		"queries": c.queries, "concurrency": c.conc, "target_qps": c.qps, "pool_workers": c.workers,
+		"cache_size": c.cache, "scheduler": c.sched, "seed": c.seed,
+	}, map[string]float64{
+		"submitted": float64(st.Submitted), "completed": float64(st.Completed),
+		"canceled": float64(st.Canceled), "rejected": float64(st.Rejected), "errors": float64(st.Errors),
+		// Every admitted submission must be observed by exactly one
+		// successful Wait.
+		"lost_completions": float64(int64(st.Submitted) - ld.done()),
+		"cache_hit_rate":   st.HitRate(),
+		"spans_started":    float64(st.SpansStarted), "spans_finished": float64(st.SpansFinished),
+		"slo_fast_burn": st.SLOFastBurn, "slo_slow_burn": st.SLOSlowBurn,
+		"slo_firing": slo, "slo_alerts": float64(st.SLOAlerts),
+	})
+	ld.latencyMetrics(r.Metrics)
+	r.Gates = serveGates(c.queries, r.Metrics)
+	snap := fw.Obs.Metrics.Snapshot()
+	r.Registry = &snap
 
-	r := serveReport{
-		Experiment:  "serve",
-		Queries:     sc.Queries,
-		Concurrency: sc.Concurrency,
-		QPS:         sc.QPS,
-		Workers:     sc.Workers,
-		CacheSize:   sc.CacheSize,
-		Scheduler:   sc.Scheduler,
-		Seed:        sc.Seed,
-
-		WallSeconds:   wall,
-		ThroughputQPS: float64(done) / wall,
-		LatencyP50Ms:  pct(0.50),
-		LatencyP95Ms:  pct(0.95),
-		LatencyP99Ms:  pct(0.99),
-		LatencyMaxMs:  pct(1.0),
-
-		Submitted:    st.Submitted,
-		Completed:    st.Completed,
-		Canceled:     st.Canceled,
-		Rejected:     st.Rejected,
-		Errors:       st.Errors,
-		Lost:         lost,
-		CacheHitRate: st.HitRate(),
-
-		SpansStarted:  st.SpansStarted,
-		SpansFinished: st.SpansFinished,
-		SLOFastBurn:   st.SLOFastBurn,
-		SLOSlowBurn:   st.SLOSlowBurn,
-		SLOFiring:     st.SLOFiring,
-		SLOAlerts:     st.SLOAlerts,
-
-		Metrics: fw.Obs.Metrics.Snapshot(),
-	}
-
-	fmt.Printf("served %d/%d queries in %.2fs (%.1f q/s)\n", st.Completed, sc.Queries, wall, r.ThroughputQPS)
-	fmt.Printf("latency p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n",
-		r.LatencyP50Ms, r.LatencyP95Ms, r.LatencyP99Ms, r.LatencyMaxMs)
+	fmt.Printf("served %d/%d queries in %.2fs (%.1f q/s)\n", st.Completed, c.queries, ld.wall, r.Metrics["achieved_qps"])
+	fmt.Printf("latency p50=%.1fms p95=%.1fms p99=%.1fms max=%.1fms\n", r.Metrics["latency_p50_ms"],
+		r.Metrics["latency_p95_ms"], r.Metrics["latency_p99_ms"], r.Metrics["latency_max_ms"])
 	fmt.Printf("cache hit-rate %.1f%% (%d hits / %d misses, %d evictions)\n",
-		100*r.CacheHitRate, st.CacheHits, st.CacheMisses, st.CacheEvictions)
-	if r.SpansStarted > 0 {
-		fmt.Printf("spans %d started / %d finished\n", r.SpansStarted, r.SpansFinished)
+		100*st.HitRate(), st.CacheHits, st.CacheMisses, st.CacheEvictions)
+	if st.SpansStarted > 0 {
+		fmt.Printf("spans %d started / %d finished\n", st.SpansStarted, st.SpansFinished)
 	}
 	fmt.Printf("SLO burn fast=%.2f slow=%.2f firing=%v alerts=%d\n",
-		r.SLOFastBurn, r.SLOSlowBurn, r.SLOFiring, r.SLOAlerts)
+		st.SLOFastBurn, st.SLOSlowBurn, st.SLOFiring, st.SLOAlerts)
 
-	if sc.SpansOut != "" {
-		if err := writeSpans(srv, sc.SpansOut); err != nil {
+	if c.spans != "" {
+		if err := writeSpans(srv, c.spans); err != nil {
 			return err
 		}
 	}
-
-	if benchDir != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(benchDir, "BENCH_serve.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if sc.Baseline != "" {
-		if err := printBaselineDelta(sc.Baseline, r); err != nil {
-			return err
-		}
-	}
+	gateErr := c.out.finish(r)
 
 	// Hold the server (and with it the admin endpoint) open so a live
 	// process can be inspected after the load finishes; a buffered
 	// SIGINT/SIGTERM — even one delivered mid-benchmark — ends the window
 	// immediately, and the server still shuts down gracefully.
-	if sc.Linger > 0 {
-		fmt.Printf("lingering %s before shutdown (SIGINT/SIGTERM to end early)...\n", sc.Linger)
+	if c.linger > 0 {
+		fmt.Printf("lingering %s before shutdown (SIGINT/SIGTERM to end early)...\n", c.linger)
 		select {
-		case <-time.After(sc.Linger):
+		case <-time.After(c.linger):
 		case s := <-sig:
 			fmt.Printf("caught %v: shutting down\n", s)
 		}
@@ -276,20 +103,23 @@ func serveBench(sc serveConfig, benchDir string) error {
 	if err := srv.Close(); err != nil {
 		return err
 	}
+	return gateErr
+}
 
-	// Fail loudly so CI catches regressions: no completion may be lost,
-	// and repeated queries must actually hit the cache.
-	if lost != 0 {
-		return fmt.Errorf("serve: lost completions: %d", lost)
+// serveGates: no completion may be lost, nothing in this benchmark
+// cancels or errors, and with enough queries to repeat the mix the
+// cache must actually hit.
+func serveGates(queries int, m map[string]float64) []gate {
+	g := []gate{
+		{"lost_completions", "==", 0},
+		{"completed", "==", m["submitted"]},
+		{"errors", "==", 0},
+		{"canceled", "==", 0},
 	}
-	if st.Submitted != st.Completed || st.Errors != 0 || st.Canceled != 0 {
-		return fmt.Errorf("serve: accounting mismatch: submitted=%d completed=%d canceled=%d errors=%d",
-			st.Submitted, st.Completed, st.Canceled, st.Errors)
+	if queries >= 50 {
+		g = append(g, gate{"cache_hit_rate", ">", 0.5})
 	}
-	if sc.Queries >= 50 && r.CacheHitRate <= 0.5 {
-		return fmt.Errorf("serve: cache hit-rate %.2f below 0.5 floor", r.CacheHitRate)
-	}
-	return nil
+	return g
 }
 
 // writeSpans dumps the server's retained span trees as JSON to path,
@@ -318,36 +148,5 @@ func writeSpans(srv *saqp.Server, path string) error {
 	c := sp.Counts()
 	fmt.Printf("wrote %d span trees to %s (%d started, %d evicted)\n",
 		c.Retained, path, c.Started, c.Evicted)
-	return nil
-}
-
-// printBaselineDelta diffs this run's headline numbers against a
-// committed BENCH_serve.json. Wall-clock figures vary across machines,
-// so the delta is informational — the deterministic counters (cache
-// hit-rate, span counts, SLO state) are the ones worth eyeballing.
-func printBaselineDelta(path string, r serveReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("serve: reading baseline: %w", err)
-	}
-	var base serveReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("serve: parsing baseline %s: %w", path, err)
-	}
-	fmt.Printf("delta vs baseline %s:\n", path)
-	row := func(name string, cur, old float64) {
-		d := 0.0
-		if old != 0 {
-			d = 100 * (cur - old) / old
-		}
-		fmt.Printf("  %-18s %10.2f  baseline %10.2f  (%+.1f%%)\n", name, cur, old, d)
-	}
-	row("throughput q/s", r.ThroughputQPS, base.ThroughputQPS)
-	row("latency p50 ms", r.LatencyP50Ms, base.LatencyP50Ms)
-	row("latency p95 ms", r.LatencyP95Ms, base.LatencyP95Ms)
-	row("latency p99 ms", r.LatencyP99Ms, base.LatencyP99Ms)
-	row("cache hit-rate", r.CacheHitRate, base.CacheHitRate)
-	row("spans finished", float64(r.SpansFinished), float64(base.SpansFinished))
-	row("slo alerts", float64(r.SLOAlerts), float64(base.SLOAlerts))
 	return nil
 }

@@ -1,134 +1,49 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
+	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"saqp"
 )
 
-// shardConfig parameterizes the sharded-serving benchmark.
-type shardConfig struct {
-	Queries     int    // submissions per throughput phase
-	Concurrency int    // closed-loop submitter goroutines
-	Shards      int    // primary/replica pairs in the sharded phase
-	CacheSize   int    // per-engine plan/estimate cache entries
-	Scheduler   string // pool scheduler name
-	Seed        uint64
-	FaultSeed   uint64 // seed of the failover phase's crash plan
+// shardScaleGate is the sharded/single throughput scaling floor before
+// derating by min(1, GOMAXPROCS/shards).
+const shardScaleGate = 2.5
 
-	Baseline  string  // committed BENCH_shard.json to diff against; "" = no diff
-	ScaleGate float64 // fail when scaling < gate * min(1, cores/shards); 0 disables
-}
-
-// shardReport is BENCH_shard.json: single-engine vs sharded throughput
-// plus exactly-once accounting through a mid-run failover.
-type shardReport struct {
-	Experiment  string `json:"experiment"`
-	Queries     int    `json:"queries"`
-	Concurrency int    `json:"concurrency"`
-	Shards      int    `json:"shards"`
-	CacheSize   int    `json:"cache_size"`
-	Scheduler   string `json:"scheduler"`
-	Seed        uint64 `json:"seed"`
-	Cores       int    `json:"cores"`
-
-	SingleWallSeconds float64 `json:"single_wall_seconds"`
-	SingleQPS         float64 `json:"single_qps"`
-	ShardWallSeconds  float64 `json:"shard_wall_seconds"`
-	ShardQPS          float64 `json:"shard_qps"`
-	Scaling           float64 `json:"scaling"`
-	ScaleGate         float64 `json:"scale_gate"`
-	DeratedGate       float64 `json:"derated_gate"`
-
-	FailoverQueries  int   `json:"failover_queries"`
-	Failovers        int   `json:"failovers"`
-	Lost             int64 `json:"lost_completions"`
-	ClientErrors     int64 `json:"client_errors"`
-	EngineSubmitted  int64 `json:"engine_submitted"`
-	EngineCompleted  int64 `json:"engine_completed"`
-	SentinelEventLen int   `json:"sentinel_events"`
-}
-
-// shardMeasure drives one warmup pass plus two measured rounds and
-// keeps the faster round — min-time measurement, so one slow round of
-// scheduler or GC noise cannot sink the scaling ratio.
-func shardMeasure(queries, concurrency int, seed uint64, mix []string,
-	submit func(ctx context.Context, sql string, seed uint64) (string, error)) (wall float64, done, cerrs int64) {
-	shardDrive(2*len(mix), concurrency, seed, mix, submit)
+// measure drives a warm-query warmup pass plus two measured rounds of n
+// closed-loop queries and returns the faster round's wall time —
+// min-time measurement, so one slow round of scheduler or GC noise
+// cannot sink the scaling ratio. A phase that fails any query timed
+// different work, so it aborts the run.
+func measure(phase string, warm, n, conc int, submit func(w, i int) error) (float64, error) {
+	drive(warm, conc, 0, submit)
+	var wall float64
+	var fails, done int64
 	for round := 0; round < 2; round++ {
-		w, d, e := shardDrive(queries, concurrency, seed, mix, submit)
-		cerrs += e
-		if round == 0 || w < wall {
-			wall, done = w, d
+		ld := drive(n, conc, 0, submit)
+		fails += ld.fails
+		if round == 0 || ld.wall < wall {
+			wall, done = ld.wall, ld.done()
 		}
 	}
-	return wall, done, cerrs
-}
-
-// shardDrive replays the TPC-H mix closed-loop through submit and
-// returns (wall seconds, client completions, client errors).
-func shardDrive(queries, concurrency int, seed uint64, mix []string,
-	submit func(ctx context.Context, sql string, seed uint64) (string, error)) (float64, int64, int64) {
-	arrivals := make(chan int, queries)
-	for i := 0; i < queries; i++ {
-		arrivals <- i
+	if fails != 0 || done != int64(n) {
+		return 0, fmt.Errorf("shard: %s phase incomplete: done=%d/%d errors=%d", phase, done, n, fails)
 	}
-	close(arrivals)
-	var done, cerrs int64
-	begin := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := context.Background()
-			for i := range arrivals {
-				sql := mix[i%len(mix)]
-				if _, err := submit(ctx, sql, seed+uint64(i%len(mix))); err != nil {
-					atomic.AddInt64(&cerrs, 1)
-					continue
-				}
-				atomic.AddInt64(&done, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	return time.Since(begin).Seconds(), done, cerrs
+	return wall, nil
 }
 
 // shardBench measures what the coordinator buys: phase 1 serves the
-// TPC-H mix on one single-worker engine, phase 2 on a Shards-wide
-// cluster of single-worker engines behind fingerprint routing, and
+// TPC-H mix on one single-worker engine, phase 2 on a -shard-shards
+// wide cluster of single-worker engines behind fingerprint routing, and
 // phase 3 replays through a deterministic mid-run primary crash to
-// prove exactly-once completion across a sentinel failover. The
-// scaling gate is derated by min(1, cores/shards) so a single-core CI
-// machine gates on routing overhead rather than parallelism it does
-// not have.
-func shardBench(sc shardConfig, benchDir string) error {
-	fmt.Printf("Building framework and training models for the shard benchmark...\n")
-	fw, err := saqp.NewFramework(saqp.Options{Observer: saqp.NewObserver(nil)})
+// prove exactly-once completion across a sentinel failover.
+func shardBench(c config) error {
+	fw, m, err := trainedMix("shard", c.seed)
 	if err != nil {
 		return err
-	}
-	if err := fw.TrainDefault(); err != nil {
-		return err
-	}
-	names := saqp.TPCHNames()
-	mix := make([]string, len(names))
-	for i, n := range names {
-		sql, err := saqp.TPCHSQL(n)
-		if err != nil {
-			return err
-		}
-		mix[i] = sql
 	}
 
 	// Phase 1: single engine, one worker — the per-shard building block.
@@ -136,69 +51,48 @@ func shardBench(sc shardConfig, benchDir string) error {
 	// instance feeds a model replica; without it the single engine would
 	// skip the RLS feedback work the shards all pay.
 	srv, err := fw.NewServer(saqp.ServerOptions{
-		Workers: 1, CacheSize: sc.CacheSize, Scheduler: sc.Scheduler, OnlineLearning: true,
+		Workers: 1, CacheSize: c.cache, Scheduler: c.sched, OnlineLearning: true,
 	})
 	if err != nil {
 		return err
 	}
-	singleSubmit := func(ctx context.Context, sql string, seed uint64) (string, error) {
-		t, err := srv.Submit(ctx, sql, seed)
-		if err != nil {
-			return "", err
-		}
-		res, err := t.Wait(ctx)
-		return res.ID, err
+	fmt.Printf("phase 1: %d queries, single engine (1 worker, %s)...\n", c.queries, c.sched)
+	singleWall, err := measure("single-engine", 2*len(m.sql), c.queries, c.conc, submitWait(m, srv.Submit))
+	if cerr := srv.Close(); err == nil {
+		err = cerr
 	}
-	fmt.Printf("phase 1: %d queries, single engine (1 worker, %s)...\n", sc.Queries, sc.Scheduler)
-	singleWall, singleDone, singleErrs := shardMeasure(sc.Queries, sc.Concurrency, sc.Seed, mix, singleSubmit)
-	if err := srv.Close(); err != nil {
+	if err != nil {
 		return err
-	}
-	if singleErrs != 0 || singleDone != int64(sc.Queries) {
-		return fmt.Errorf("shard: single-engine phase incomplete: done=%d/%d errors=%d",
-			singleDone, sc.Queries, singleErrs)
 	}
 
-	// Phase 2: the same load across Shards single-worker engines behind
-	// the fingerprint-routing coordinator.
+	// Phase 2: the same load across the shards' single-worker engines
+	// behind the fingerprint-routing coordinator.
 	cs, err := fw.NewClusterServer(saqp.ClusterOptions{
-		Shards: sc.Shards, Workers: 1, CacheSize: sc.CacheSize, Scheduler: sc.Scheduler,
+		Shards: c.shards, Workers: 1, CacheSize: c.cache, Scheduler: c.sched,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("phase 2: %d queries across %d shards (1 worker each)...\n", sc.Queries, sc.Shards)
-	clusterSubmit := func(ctx context.Context, sql string, seed uint64) (string, error) {
-		p, err := cs.Submit(ctx, sql, seed)
-		if err != nil {
-			return "", err
-		}
-		res, err := p.Wait(ctx)
-		return res.ID, err
+	fmt.Printf("phase 2: %d queries across %d shards (1 worker each)...\n", c.queries, c.shards)
+	shardWall, err := measure("sharded", 2*len(m.sql), c.queries, c.conc, submitWait(m, cs.Submit))
+	if cerr := cs.Close(); err == nil {
+		err = cerr
 	}
-	shardWall, shardDone, shardErrs := shardMeasure(sc.Queries, sc.Concurrency, sc.Seed, mix, clusterSubmit)
-	if err := cs.Close(); err != nil {
+	if err != nil {
 		return err
-	}
-	if shardErrs != 0 || shardDone != int64(sc.Queries) {
-		return fmt.Errorf("shard: sharded phase incomplete: done=%d/%d errors=%d",
-			shardDone, sc.Queries, shardErrs)
 	}
 
 	// Phase 3: exactly-once through a failover. A deterministic plan
 	// crashes shard 0's primary early in the run while a fast wall-clock
 	// ticker drives the sentinel; submissions routed to the dead primary
 	// park on the promotion and must all complete.
-	foQueries := sc.Queries / 2
-	if foQueries < len(mix) {
-		foQueries = len(mix)
-	}
+	foQueries := max(c.queries/2, len(m.sql))
 	plan := saqp.NewFaultPlan(saqp.FaultSpec{
-		Seed: sc.FaultSeed, Nodes: 1, HorizonSec: 10, CrashProb: 1, CrashDowntimeSec: 6,
+		Seed: c.faultSeed, Nodes: 1, HorizonSec: 10, CrashProb: 1, CrashDowntimeSec: 6,
 	})
 	fcs, err := fw.NewClusterServer(saqp.ClusterOptions{
-		Shards: sc.Shards, Workers: 1, CacheSize: sc.CacheSize, Scheduler: sc.Scheduler,
-		FaultPlan: plan, MissThreshold: 2, SentinelSeed: sc.FaultSeed,
+		Shards: c.shards, Workers: 1, CacheSize: c.cache, Scheduler: c.sched,
+		FaultPlan: plan, MissThreshold: 2, SentinelSeed: c.faultSeed,
 	})
 	if err != nil {
 		return err
@@ -220,15 +114,7 @@ func shardBench(sc shardConfig, benchDir string) error {
 			}
 		}
 	}()
-	foSubmit := func(ctx context.Context, sql string, seed uint64) (string, error) {
-		p, err := fcs.Submit(ctx, sql, seed)
-		if err != nil {
-			return "", err
-		}
-		res, err := p.Wait(ctx)
-		return res.ID, err
-	}
-	_, foDone, foErrs := shardDrive(foQueries, sc.Concurrency, sc.Seed, mix, foSubmit)
+	fo := drive(foQueries, c.conc, 0, submitWait(m, fcs.Submit))
 	// Keep ticking until the crash window has fully played out, so the
 	// log always records the failover even on a fast machine.
 	for fcs.Status().Epoch == 0 && fcs.Status().Tick < 60 {
@@ -247,114 +133,48 @@ func shardBench(sc shardConfig, benchDir string) error {
 	if err := fcs.Close(); err != nil {
 		return err
 	}
-	lost := int64(fst.Submitted) - foDone
 
-	cores := runtime.GOMAXPROCS(0)
-	derated := sc.ScaleGate * minf(1, float64(cores)/float64(sc.Shards))
-	r := shardReport{
-		Experiment:  "shard",
-		Queries:     sc.Queries,
-		Concurrency: sc.Concurrency,
-		Shards:      sc.Shards,
-		CacheSize:   sc.CacheSize,
-		Scheduler:   sc.Scheduler,
-		Seed:        sc.Seed,
-		Cores:       cores,
-
-		SingleWallSeconds: singleWall,
-		SingleQPS:         float64(singleDone) / singleWall,
-		ShardWallSeconds:  shardWall,
-		ShardQPS:          float64(shardDone) / shardWall,
-		ScaleGate:         sc.ScaleGate,
-		DeratedGate:       derated,
-
-		FailoverQueries:  foQueries,
-		Failovers:        failovers,
-		Lost:             lost,
-		ClientErrors:     foErrs,
-		EngineSubmitted:  int64(fst.Submitted),
-		EngineCompleted:  int64(fst.Completed),
-		SentinelEventLen: eventLen,
-	}
-	if r.SingleQPS > 0 {
-		r.Scaling = r.ShardQPS / r.SingleQPS
-	}
+	r := newReport("shard", map[string]any{
+		"queries": c.queries, "concurrency": c.conc, "shards": c.shards, "cache_size": c.cache,
+		"scheduler": c.sched, "seed": c.seed, "fault_seed": c.faultSeed, "scale_gate": shardScaleGate,
+	}, map[string]float64{
+		"single_wall_seconds": singleWall, "single_qps": float64(c.queries) / singleWall,
+		"shard_wall_seconds": shardWall, "shard_qps": float64(c.queries) / shardWall,
+		"failover_queries": float64(foQueries), "failovers": float64(failovers),
+		"lost_completions": float64(int64(fst.Submitted) - fo.done()),
+		// Every failover-phase arrival either completes or errors, so
+		// zero client errors means all foQueries completed.
+		"client_errors":    float64(fo.fails),
+		"engine_submitted": float64(fst.Submitted), "engine_completed": float64(fst.Completed),
+		"sentinel_events": float64(eventLen),
+	})
+	r.Metrics["scaling"] = r.Metrics["shard_qps"] / r.Metrics["single_qps"]
+	derated := shardFloor(r.Env.GOMAXPROCS, c.shards)
+	r.Gates = shardGates(derated, r.Metrics)
 
 	fmt.Printf("single engine: %.1f q/s  |  %d shards: %.1f q/s  |  scaling %.2fx (gate %.2fx on %d core(s))\n",
-		r.SingleQPS, sc.Shards, r.ShardQPS, r.Scaling, derated, cores)
-	fmt.Printf("failover phase: %d queries, %d failover(s), lost=%d, engine submitted=%d completed=%d\n",
-		foQueries, failovers, lost, fst.Submitted, fst.Completed)
-
-	if benchDir != "" {
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(benchDir, "BENCH_shard.json")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if sc.Baseline != "" {
-		if err := shardBaselineDiff(sc.Baseline, r); err != nil {
-			return err
-		}
-	}
-
-	// CI gates. Exactly-once through the failover is unconditional;
-	// scaling is gated against the core-derated floor.
-	if lost != 0 {
-		return fmt.Errorf("shard: lost completions through failover: %d", lost)
-	}
-	if foErrs != 0 || foDone != int64(foQueries) {
-		return fmt.Errorf("shard: failover phase incomplete: done=%d/%d errors=%d", foDone, foQueries, foErrs)
-	}
-	if failovers == 0 {
-		return fmt.Errorf("shard: crash plan never produced a failover")
-	}
-	if int64(fst.Submitted) != int64(fst.Completed) {
-		return fmt.Errorf("shard: engine accounting mismatch: submitted=%d completed=%d",
-			fst.Submitted, fst.Completed)
-	}
-	if sc.ScaleGate > 0 && r.Scaling < derated {
-		return fmt.Errorf("shard: scaling %.2fx below derated gate %.2fx (%d shards on %d core(s))",
-			r.Scaling, derated, sc.Shards, cores)
-	}
-	return nil
+		r.Metrics["single_qps"], c.shards, r.Metrics["shard_qps"], r.Metrics["scaling"], derated, r.Env.GOMAXPROCS)
+	fmt.Printf("failover phase: %d queries, %d failover(s), lost=%g, engine submitted=%d completed=%d\n",
+		foQueries, failovers, r.Metrics["lost_completions"], fst.Submitted, fst.Completed)
+	return c.out.finish(r)
 }
 
-// shardBaselineDiff prints this run against a committed
-// BENCH_shard.json. Wall-clock throughput varies across machines, so
-// the diff is informational; the hard gates are computed from the
-// current run alone.
-func shardBaselineDiff(path string, r shardReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("shard: reading baseline: %w", err)
-	}
-	var base shardReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("shard: parsing baseline %s: %w", path, err)
-	}
-	fmt.Printf("delta vs baseline %s (recorded on %d core(s)):\n", path, base.Cores)
-	row := func(name string, cur, old float64) {
-		d := 0.0
-		if old != 0 {
-			d = 100 * (cur - old) / old
-		}
-		fmt.Printf("  %-18s %10.2f  baseline %10.2f  (%+.1f%%)\n", name, cur, old, d)
-	}
-	row("single q/s", r.SingleQPS, base.SingleQPS)
-	row("sharded q/s", r.ShardQPS, base.ShardQPS)
-	row("scaling x", r.Scaling, base.Scaling)
-	return nil
+// shardFloor is the scaling gate derated by min(1, GOMAXPROCS/shards),
+// so a machine with fewer cores than shards gates on routing overhead
+// rather than parallelism it does not have.
+func shardFloor(gomaxprocs, shards int) float64 {
+	return shardScaleGate * math.Min(1, float64(gomaxprocs)/float64(shards))
 }
 
-// minf is math.Min without the import.
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
+// shardGates: exactly-once through the failover is unconditional, the
+// crash plan must actually fail over, and scaling is gated against the
+// core-derated floor.
+func shardGates(derated float64, m map[string]float64) []gate {
+	return []gate{
+		{"lost_completions", "==", 0},
+		{"client_errors", "==", 0},
+		{"failovers", ">", 0},
+		{"engine_completed", "==", m["engine_submitted"]},
+		{"scaling", ">=", derated},
 	}
-	return b
 }

@@ -7,7 +7,7 @@ import (
 	"sort"
 	"testing"
 
-	"saqp/internal/core"
+	"saqp/internal/core/floats"
 )
 
 // goldenQuery is one TPC-H query's checked-in prediction snapshot.
@@ -105,10 +105,10 @@ func TestGoldenTPCHPredictions(t *testing.T) {
 		if g.Jobs != w.Jobs {
 			t.Errorf("%s: plan has %d jobs, golden %d", g.Name, g.Jobs, w.Jobs)
 		}
-		if !core.ApproxEqual(g.WRD, w.WRD, goldenEps) {
+		if !floats.ApproxEqual(g.WRD, w.WRD, goldenEps) {
 			t.Errorf("%s: WRD %.9g, golden %.9g", g.Name, g.WRD, w.WRD)
 		}
-		if !core.ApproxEqual(g.PredictedSec, w.PredictedSec, goldenEps) {
+		if !floats.ApproxEqual(g.PredictedSec, w.PredictedSec, goldenEps) {
 			t.Errorf("%s: predicted %.9g s, golden %.9g s", g.Name, g.PredictedSec, w.PredictedSec)
 		}
 	}

@@ -22,7 +22,7 @@ func TestScope(t *testing.T) {
 			t.Errorf("floatcmp should apply to %s", pkg)
 		}
 	}
-	// core hosts ApproxEqual itself and is deliberately out of scope.
+	// core is deliberately out of scope.
 	if floatcmp.Analyzer.AppliesTo("saqp/internal/core") {
 		t.Error("floatcmp should not apply to saqp/internal/core")
 	}

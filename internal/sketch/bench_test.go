@@ -7,7 +7,7 @@ import (
 
 // The BenchmarkMicro* family is the bench-micro surface: benchstat-
 // comparable names, gated in CI against testdata/bench_baseline/
-// BENCH_micro.json by cmd/benchrunner -micro. Allocations are a hard
+// BENCH_micro.json by cmd/benchrunner -exp micro. Allocations are a hard
 // gate (must stay at the baseline's zero); ns/op has generous headroom
 // for machine variance.
 
