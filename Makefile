@@ -34,7 +34,7 @@ bench-alloc:
 	$(GO) test -count=1 -run TestHotPathAllocs \
 		./internal/mapreduce ./internal/selectivity ./internal/histogram \
 		./internal/dataset ./internal/predict ./internal/serve ./internal/obs \
-		./internal/net/proto ./internal/sketch
+		./internal/net/proto ./internal/sketch ./internal/query
 
 test:
 	$(GO) test ./...
@@ -43,13 +43,16 @@ race:
 	$(GO) test -race ./...
 
 # A short native-fuzzing burst over the full compile→estimate→execute
-# stack, the randomized estimator-vs-engine agreement test, and the
+# stack, the randomized estimator-vs-engine agreement test, the
 # wire-protocol decoder (no panics, no over-reads, byte-exact
-# re-encoding of every accepted frame).
+# re-encoding of every accepted frame), and SQL normalization (the
+# normalized text re-parses to itself; the memo agrees with a direct
+# parse and render).
 fuzz-smoke:
 	$(GO) test -run TestRandomQueriesEstimatorVsEngine -count=1 ./internal/mapreduce
 	$(GO) test -fuzz FuzzEngineQuery -fuzztime 10s -run '^$$' ./internal/mapreduce
 	$(GO) test -fuzz FuzzProtocolDecode -fuzztime 10s -run '^$$' ./internal/net/proto
+	$(GO) test -fuzz FuzzNormalize -fuzztime 10s -run '^$$' ./internal/query
 
 # Concurrency stress: the serving-layer and network-frontend stress/
 # property suites under the race detector, run twice to vary goroutine
@@ -141,7 +144,8 @@ bench-shard:
 
 # Microbenchmarks + sketch-accuracy gate: benchstat-comparable
 # BenchmarkMicro* families (sketch ops, estimator, engine
-# map/shuffle/reduce, serve-cache lookup) with -benchmem, parsed and
+# map/shuffle/reduce, serve-cache lookup, SQL parse+normalize and the
+# normalization-memo hit) with -benchmem, parsed and
 # gated by cmd/benchrunner -exp micro against the committed baseline in
 # testdata/bench_baseline/BENCH_micro.json — allocs/op may never
 # regress; ns/op may drift up to 4x (machine variance).
@@ -150,7 +154,7 @@ bench-shard:
 # pruning byte-identical to the unpruned engine (zero false negatives).
 # Writes bench-out/BENCH_micro.{txt,json}; the raw text is
 # benchstat-ready for manual before/after comparisons.
-MICRO_PKGS := ./internal/sketch ./internal/selectivity ./internal/mapreduce ./internal/serve
+MICRO_PKGS := ./internal/sketch ./internal/selectivity ./internal/mapreduce ./internal/serve ./internal/query
 bench-micro:
 	@mkdir -p bench-out
 	$(GO) test -run '^$$' -bench '^BenchmarkMicro' -benchmem -count 1 \

@@ -1,9 +1,6 @@
 package query
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // CmpOp is a comparison operator in a predicate.
 type CmpOp uint8
@@ -86,6 +83,14 @@ func (c ColumnRef) String() string {
 	return c.Table + "." + c.Column
 }
 
+func (c ColumnRef) appendTo(b []byte) []byte {
+	if c.Table != "" {
+		b = append(b, c.Table...)
+		b = append(b, '.')
+	}
+	return append(b, c.Column...)
+}
+
 // ArithOp is an arithmetic operator inside aggregate expressions.
 type ArithOp uint8
 
@@ -135,11 +140,27 @@ func (e Expr) Columns() []ColumnRef {
 }
 
 // String renders the expression in SQL form.
-func (e Expr) String() string {
+func (e Expr) String() string { return string(e.appendTo(nil)) }
+
+func (e Expr) appendTo(b []byte) []byte {
 	if e.Binop != nil {
-		return e.Binop.Left.String() + e.Binop.Op.String() + e.Binop.Right.String()
+		b = e.Binop.Left.appendTo(b)
+		b = append(b, e.Binop.Op.String()...)
+		return e.Binop.Right.appendTo(b)
 	}
-	return e.Col.String()
+	return e.Col.appendTo(b)
+}
+
+// appendAgg renders an aggregate call: count(*) when star, agg(expr)
+// otherwise.
+func appendAgg(b []byte, agg AggFunc, e Expr, star bool) []byte {
+	if star {
+		return append(b, "count(*)"...)
+	}
+	b = append(b, agg.String()...)
+	b = append(b, '(')
+	b = e.appendTo(b)
+	return append(b, ')')
 }
 
 // SelectItem is one projection-list entry: a column, `agg(expr)`, or
@@ -151,14 +172,13 @@ type SelectItem struct {
 }
 
 // String renders the item in SQL form.
-func (s SelectItem) String() string {
-	if s.Star {
-		return "count(*)"
+func (s SelectItem) String() string { return string(s.appendTo(nil)) }
+
+func (s SelectItem) appendTo(b []byte) []byte {
+	if !s.Star && s.Agg == AggNone {
+		return s.Expr.appendTo(b)
 	}
-	if s.Agg == AggNone {
-		return s.Expr.String()
-	}
-	return fmt.Sprintf("%s(%s)", s.Agg, s.Expr)
+	return appendAgg(b, s.Agg, s.Expr, s.Star)
 }
 
 // Literal is a constant in a predicate.
@@ -174,17 +194,24 @@ func NumLit(v float64) Literal { return Literal{F: v} }
 // StrLit builds a string literal.
 func StrLit(s string) Literal { return Literal{IsString: true, S: s} }
 
-// String renders the literal in SQL form.
-func (l Literal) String() string {
-	if l.IsString {
-		return "'" + l.S + "'"
-	}
-	return trimFloat(l.F)
-}
+// String renders the literal in SQL form: a string quoted with every
+// embedded quote doubled (the lexer's escape), a number in %g form —
+// shortest round-tripping digits, exponent form for large and small
+// magnitudes (1e+06, 1e-05), both of which the lexer reads back.
+func (l Literal) String() string { return string(l.appendTo(nil)) }
 
-func trimFloat(f float64) string {
-	s := fmt.Sprintf("%g", f)
-	return s
+func (l Literal) appendTo(b []byte) []byte {
+	if !l.IsString {
+		return strconv.AppendFloat(b, l.F, 'g', -1, 64)
+	}
+	b = append(b, '\'')
+	for i := 0; i < len(l.S); i++ {
+		if l.S[i] == '\'' {
+			b = append(b, '\'')
+		}
+		b = append(b, l.S[i])
+	}
+	return append(b, '\'')
 }
 
 // Predicate is a conjunct: either column-op-literal (a local filter),
@@ -202,23 +229,27 @@ type Predicate struct {
 func (p Predicate) IsJoin() bool { return p.Right != nil }
 
 // String renders the predicate in SQL form.
-func (p Predicate) String() string {
-	if p.Right != nil {
-		return fmt.Sprintf("%s %s %s", p.Left, p.Op, *p.Right)
-	}
-	if p.Op == OpIN {
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s IN (", p.Left)
+func (p Predicate) String() string { return string(p.appendTo(nil)) }
+
+func (p Predicate) appendTo(b []byte) []byte {
+	b = p.Left.appendTo(b)
+	b = append(b, ' ')
+	b = append(b, p.Op.String()...)
+	b = append(b, ' ')
+	switch {
+	case p.Right != nil:
+		return p.Right.appendTo(b)
+	case p.Op == OpIN:
+		b = append(b, '(')
 		for i, l := range p.Set {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(l.String())
+			b = l.appendTo(b)
 		}
-		b.WriteString(")")
-		return b.String()
+		return append(b, ')')
 	}
-	return fmt.Sprintf("%s %s %s", p.Left, p.Op, p.Lit)
+	return p.Lit.appendTo(b)
 }
 
 // TableRef names a base table with an optional alias.
@@ -243,6 +274,15 @@ func (t TableRef) String() string {
 	return t.Name
 }
 
+func (t TableRef) appendTo(b []byte) []byte {
+	b = append(b, t.Name...)
+	if t.Alias != "" {
+		b = append(b, ' ')
+		b = append(b, t.Alias...)
+	}
+	return b
+}
+
 // Join is one JOIN clause: the joined table and its ON conjuncts (at least
 // one column-to-column condition, plus optional local filters).
 type Join struct {
@@ -261,12 +301,14 @@ type HavingPred struct {
 }
 
 // String renders the conjunct in SQL form.
-func (h HavingPred) String() string {
-	left := fmt.Sprintf("%s(%s)", h.Agg, h.Expr)
-	if h.Star {
-		left = "count(*)"
-	}
-	return fmt.Sprintf("%s %s %s", left, h.Op, h.Lit)
+func (h HavingPred) String() string { return string(h.appendTo(nil)) }
+
+func (h HavingPred) appendTo(b []byte) []byte {
+	b = appendAgg(b, h.Agg, h.Expr, h.Star)
+	b = append(b, ' ')
+	b = append(b, h.Op.String()...)
+	b = append(b, ' ')
+	return h.Lit.appendTo(b)
 }
 
 // OrderItem is one ORDER BY entry: a column, or an aggregate that must
@@ -287,17 +329,18 @@ type OrderItem struct {
 func (o OrderItem) IsAggregate() bool { return o.Agg != AggNone || o.Star }
 
 // String renders the item in SQL form.
-func (o OrderItem) String() string {
-	left := o.Col.String()
-	if o.Star {
-		left = "count(*)"
-	} else if o.Agg != AggNone {
-		left = fmt.Sprintf("%s(%s)", o.Agg, o.Expr)
+func (o OrderItem) String() string { return string(o.appendTo(nil)) }
+
+func (o OrderItem) appendTo(b []byte) []byte {
+	if o.IsAggregate() {
+		b = appendAgg(b, o.Agg, o.Expr, o.Star)
+	} else {
+		b = o.Col.appendTo(b)
 	}
 	if o.Desc {
-		return left + " DESC"
+		b = append(b, " DESC"...)
 	}
-	return left
+	return b
 }
 
 // Query is a single-block analytic query.
@@ -335,72 +378,80 @@ func (q *Query) Tables() []TableRef {
 	return ts
 }
 
-// String renders the query as SQL.
+// String renders the query as SQL: the normalized text the plan cache,
+// shard routing and trace IDs key on.
 func (q *Query) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
+	b := make([]byte, 0, 256)
+	b = append(b, "SELECT "...)
 	if len(q.MapJoinTables) > 0 {
-		b.WriteString("/*+ MAPJOIN(")
-		b.WriteString(strings.Join(q.MapJoinTables, ", "))
-		b.WriteString(") */ ")
+		b = append(b, "/*+ MAPJOIN("...)
+		for i, t := range q.MapJoinTables {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, t...)
+		}
+		b = append(b, ") */ "...)
 	}
 	for i, s := range q.Select {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(s.String())
+		b = s.appendTo(b)
 	}
-	b.WriteString(" FROM ")
-	b.WriteString(q.From.String())
+	b = append(b, " FROM "...)
+	b = q.From.appendTo(b)
 	for _, j := range q.Joins {
-		b.WriteString(" JOIN ")
-		b.WriteString(j.Table.String())
-		b.WriteString(" ON ")
-		for i, p := range j.On {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(p.String())
-		}
+		b = append(b, " JOIN "...)
+		b = j.Table.appendTo(b)
+		b = append(b, " ON "...)
+		b = appendConjuncts(b, j.On)
 	}
 	if len(q.Where) > 0 {
-		b.WriteString(" WHERE ")
-		for i, p := range q.Where {
-			if i > 0 {
-				b.WriteString(" AND ")
-			}
-			b.WriteString(p.String())
-		}
+		b = append(b, " WHERE "...)
+		b = appendConjuncts(b, q.Where)
 	}
 	if len(q.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
+		b = append(b, " GROUP BY "...)
 		for i, c := range q.GroupBy {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(c.String())
+			b = c.appendTo(b)
 		}
 	}
 	if len(q.Having) > 0 {
-		b.WriteString(" HAVING ")
+		b = append(b, " HAVING "...)
 		for i, h := range q.Having {
 			if i > 0 {
-				b.WriteString(" AND ")
+				b = append(b, " AND "...)
 			}
-			b.WriteString(h.String())
+			b = h.appendTo(b)
 		}
 	}
 	if len(q.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
+		b = append(b, " ORDER BY "...)
 		for i, o := range q.OrderBy {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			b.WriteString(o.String())
+			b = o.appendTo(b)
 		}
 	}
 	if q.Limit >= 0 {
-		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
+		b = append(b, " LIMIT "...)
+		b = strconv.AppendInt(b, q.Limit, 10)
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendConjuncts renders predicates joined by AND.
+func appendConjuncts(b []byte, ps []Predicate) []byte {
+	for i, p := range ps {
+		if i > 0 {
+			b = append(b, " AND "...)
+		}
+		b = p.appendTo(b)
+	}
+	return b
 }

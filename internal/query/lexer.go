@@ -152,6 +152,22 @@ func (l *lexer) lexNumber() {
 		}
 		break
 	}
+	// An exponent, [eE][+-]?digits: the renderer prints large and small
+	// magnitudes in %g form (1e+06, 1.25e-05), and normalized text must
+	// parse back. Without digits after it the 'e' starts the next token.
+	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+		e := l.pos + 1
+		if e < len(l.src) && (l.src[e] == '+' || l.src[e] == '-') {
+			e++
+		}
+		digits := e
+		for e < len(l.src) && l.src[e] >= '0' && l.src[e] <= '9' {
+			e++
+		}
+		if e > digits {
+			l.pos = e
+		}
+	}
 	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
 }
 

@@ -27,6 +27,10 @@ var ErrClosed = errors.New("serve: engine closed")
 // configured capacity.
 var ErrQueueFull = errors.New("serve: admission queue full")
 
+// DefaultCacheSize is the plan-cache capacity (and normalization-memo
+// generation size) of an engine whose Config.CacheSize is unset.
+const DefaultCacheSize = 256
+
 // Config assembles a serving engine. Estimator and Scheduler are
 // required; everything else defaults sensibly.
 type Config struct {
@@ -74,7 +78,9 @@ type Config struct {
 	Scheduler cluster.Scheduler
 	// Workers is the simulator pool size. Default 4.
 	Workers int
-	// CacheSize bounds the plan/estimate LRU entry count. Default 256.
+	// CacheSize bounds the plan/estimate LRU entry count, and each
+	// generation of the raw-SQL normalization memo in front of it.
+	// Default DefaultCacheSize.
 	CacheSize int
 	// QueueCap bounds the admission queue; submissions beyond it fail
 	// with ErrQueueFull. 0 means unbounded.
@@ -251,6 +257,7 @@ func (s Stats) HitRate() float64 {
 // comment for the pipeline.
 type Engine struct {
 	cfg   Config
+	memo  *query.Memo
 	cache *planCache
 	pred  cluster.TaskTimePredictor
 	slots predict.Slots
@@ -282,14 +289,18 @@ func New(cfg Config) (*Engine, error) {
 		cfg.Workers = 4
 	}
 	if cfg.CacheSize <= 0 {
-		cfg.CacheSize = 256
+		cfg.CacheSize = DefaultCacheSize
 	}
 	if cfg.Cluster.Nodes <= 0 {
 		faults, salt := cfg.Cluster.Faults, cfg.Cluster.FaultSalt
 		cfg.Cluster = cluster.DefaultConfig()
 		cfg.Cluster.Faults, cfg.Cluster.FaultSalt = faults, salt
 	}
-	e := &Engine{cfg: cfg, cache: newPlanCache(cfg.CacheSize)}
+	e := &Engine{
+		cfg:   cfg,
+		memo:  query.NewMemo(cfg.CacheSize, "\x00"+cfg.CatalogFingerprint),
+		cache: newPlanCache(cfg.CacheSize),
+	}
 	e.cond = sync.NewCond(&e.mu)
 	e.pred = cluster.ConstantPredictor(1)
 	if cfg.TaskModel != nil {
@@ -313,8 +324,10 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Submit normalizes and admits one query: parse, cached
-// compile+estimate (single-flight), WRD ranking, enqueue. The returned
+// Submit normalizes and admits one query: memoized parse+normalize,
+// cached compile+estimate (single-flight), WRD ranking, enqueue. A
+// repeated SQL text parses nothing: the memo yields its normalized text
+// and plan-cache key, and a plan-cache hit needs no AST. The returned
 // ticket completes when a pool worker has served the query. ctx governs
 // the whole submission — cancel it and the query is skipped if queued,
 // aborted if running.
@@ -329,20 +342,19 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 	}
 	o := e.cfg.Observer
 	o.ServeSubmitted()
-	q, err := query.Parse(sql)
+	norm, key, q, err := e.memo.Normalize(sql)
 	if err != nil {
 		o.ServeError()
 		e.count(func(s *Stats) { s.Errors++ })
 		return nil, err
 	}
-	norm := q.String()
-	ent, owner, evicted := e.cache.lookup(norm + "\x00" + e.cfg.CatalogFingerprint)
+	ent, owner, evicted := e.cache.lookup(key)
 	o.ServeCacheLookup(!owner)
 	for i := 0; i < evicted; i++ {
 		o.ServeCacheEvicted()
 	}
 	if owner {
-		e.compute(ent, q)
+		e.compute(ent, sql, q)
 	} else {
 		select {
 		case <-ent.ready:
@@ -419,9 +431,16 @@ func (e *Engine) Submit(ctx context.Context, sql string, seed uint64) (*Ticket, 
 }
 
 // compute fills a cache entry the caller owns: resolve, compile,
-// estimate, and score (WRD + predicted standalone seconds).
-func (e *Engine) compute(ent *cacheEntry, q *query.Query) {
+// estimate, and score (WRD + predicted standalone seconds). q is the
+// AST of a memo miss; after a memo hit it is nil and sql is parsed once
+// here — the memo never shares an AST, because Resolve mutates it.
+func (e *Engine) compute(ent *cacheEntry, sql string, q *query.Query) {
 	defer e.cache.publish(ent)
+	if q == nil {
+		if q, ent.err = query.Parse(sql); ent.err != nil {
+			return
+		}
+	}
 	if err := query.Resolve(q, e.cfg.Schemas); err != nil {
 		ent.err = err
 		return

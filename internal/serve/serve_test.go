@@ -14,6 +14,7 @@ import (
 	"saqp/internal/dataset"
 	"saqp/internal/obs"
 	"saqp/internal/predict"
+	"saqp/internal/query"
 	"saqp/internal/sched"
 	"saqp/internal/selectivity"
 	"saqp/internal/workload"
@@ -276,7 +277,7 @@ func TestQueueFullAndClosed(t *testing.T) {
 	cfg := config(t)
 	cfg.QueueCap = 1
 	cfg.Schemas = dataset.AllSchemas()
-	e := &Engine{cfg: cfg, cache: newPlanCache(4)}
+	e := &Engine{cfg: cfg, memo: query.NewMemo(4, ""), cache: newPlanCache(4)}
 	e.cond = sync.NewCond(&e.mu)
 	e.pred = cluster.ConstantPredictor(1)
 
@@ -460,5 +461,98 @@ func TestDeterministicSnapshots(t *testing.T) {
 	}
 	if !strings.Contains(string(m1), obs.MServeCompletions) {
 		t.Errorf("snapshot should include serve metrics:\n%s", m1)
+	}
+}
+
+// TestWarmRepeatParsesNothing pins the request-path parse budget: the
+// first submission of a text parses it once (memo miss, plan-cache
+// miss); a warm repeat is a memo hit and a plan-cache hit and parses
+// nothing.
+func TestWarmRepeatParsesNothing(t *testing.T) {
+	e := newEngine(t, config(t))
+	var results []Result
+	for i := 0; i < 3; i++ {
+		tk, err := e.Submit(context.Background(), q6, 7)
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		res, err := tk.Wait(context.Background())
+		if err != nil {
+			t.Fatalf("Wait %d: %v", i, err)
+		}
+		results = append(results, res)
+	}
+	if hits, misses := e.memo.Counters(); misses != 1 || hits != 2 {
+		t.Errorf("memo: %d hits %d misses over three submissions of one text, want 2 and 1", hits, misses)
+	}
+	if st := e.Stats(); st.CacheMisses != 1 || st.CacheHits != 2 {
+		t.Errorf("plan cache: %+v", st)
+	}
+	for i, r := range results[1:] {
+		if r.SQL != results[0].SQL || r.SimSec != results[0].SimSec || r.WRD != results[0].WRD {
+			t.Errorf("repeat %d served differently: %+v vs %+v", i+1, r, results[0])
+		}
+	}
+}
+
+// TestMemoHitOnPlanCacheMiss covers a memo hit whose plan-cache entry
+// was evicted: the engine parses the text once more for the compile and
+// serves exactly what a fresh engine serves.
+func TestMemoHitOnPlanCacheMiss(t *testing.T) {
+	cfg := config(t)
+	cfg.CacheSize = 1
+	e := newEngine(t, cfg)
+	var last Result
+	for _, sql := range []string{q6, q1, q6} {
+		tk, err := e.Submit(context.Background(), sql, 3)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if last, err = tk.Wait(context.Background()); err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+	}
+	// The memo's prev generation still holds q6, so the third
+	// submission is a memo hit landing on an evicted plan-cache entry.
+	if hits, misses := e.memo.Counters(); hits != 1 || misses != 2 {
+		t.Errorf("memo: %d hits %d misses, want 1 and 2", hits, misses)
+	}
+	if st := e.Stats(); st.CacheMisses != 3 {
+		t.Errorf("plan cache: %+v", st)
+	}
+	fresh := newEngine(t, config(t))
+	tk, err := fresh.Submit(context.Background(), q6, 3)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	want, err := tk.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	last.ID, want.ID = "", ""
+	if last != want {
+		t.Errorf("re-parsed compile served %+v, fresh engine %+v", last, want)
+	}
+}
+
+// TestQuotedLiteralQueriesCacheSeparately: a one-predicate query whose
+// string literal contains escaped quotes must not share a plan-cache
+// entry with the two-predicate query its unescaped rendering spelled.
+func TestQuotedLiteralQueriesCacheSeparately(t *testing.T) {
+	e := newEngine(t, config(t))
+	for _, sql := range []string{
+		`SELECT c_custkey FROM customer WHERE c_mktsegment = 'A'' AND c_name = ''B'`,
+		`SELECT c_custkey FROM customer WHERE c_mktsegment = 'A' AND c_name = 'B'`,
+	} {
+		tk, err := e.Submit(context.Background(), sql, 1)
+		if err != nil {
+			t.Fatalf("Submit(%q): %v", sql, err)
+		}
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatalf("Wait(%q): %v", sql, err)
+		}
+	}
+	if st := e.Stats(); st.CacheMisses != 2 || st.CacheHits != 0 || st.CacheEntries != 2 {
+		t.Errorf("two different queries must get two cache entries: %+v", st)
 	}
 }

@@ -124,6 +124,7 @@ type Cluster struct {
 	slots int
 	ob    *obs.Observer
 	phase []float64
+	memo  *query.Memo
 
 	mu     sync.Mutex
 	shards []*shardState
@@ -146,7 +147,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("shardserve: %d slots cannot cover %d shards", cfg.Slots, len(cfg.Shards))
 	}
 	scfg := cfg.Sentinel.normalize()
-	c := &Cluster{cfg: cfg, scfg: scfg, slots: cfg.Slots, ob: cfg.Observer}
+	c := &Cluster{
+		cfg: cfg, scfg: scfg, slots: cfg.Slots, ob: cfg.Observer,
+		memo: query.NewMemo(routeMemoSize, ""),
+	}
 	c.phase = sentinelPhases(scfg)
 	for i, spec := range cfg.Shards {
 		if spec.Primary.Backend == nil {
@@ -174,15 +178,22 @@ type RouteInfo struct {
 	Addr string
 }
 
+// routeMemoSize is the generation size of the coordinator's
+// normalization memo: serve's default plan-cache capacity, so the
+// coordinator remembers as many distinct texts as one default engine
+// caches plans for.
+const routeMemoSize = serve.DefaultCacheSize
+
 // Route normalizes sql exactly as the shard engines' plan caches do
 // and resolves its slot, owning shard, and the active instance's
-// advertised address.
+// advertised address. Normalization goes through the coordinator's
+// memo, so a repeated text is routed without parsing.
 func (c *Cluster) Route(sql string) (RouteInfo, error) {
-	q, err := query.Parse(sql)
+	norm, _, _, err := c.memo.Normalize(sql)
 	if err != nil {
 		return RouteInfo{}, err
 	}
-	fp := Fingerprint(q.String(), c.cfg.CatalogFingerprint)
+	fp := Fingerprint(norm, c.cfg.CatalogFingerprint)
 	slot := SlotOf(fp, c.slots)
 	shard := OwnerOf(slot, c.slots, len(c.shards))
 	c.mu.Lock()

@@ -369,3 +369,31 @@ func TestInfoIsStableAndShardOrdered(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteRepeatParsesNothing: the coordinator parses a text once; a
+// repeated Route or Submit of it is a memo hit with the same decision.
+func TestRouteRepeatParsesNothing(t *testing.T) {
+	c, _ := newTestCluster(t, 2, nil, nil)
+	defer c.Close()
+	const sql = "SELECT COUNT(*) FROM lineitem WHERE l_quantity < 24"
+	first, err := c.Route(sql)
+	if err != nil {
+		t.Fatalf("Route: %v", err)
+	}
+	again, err := c.Route(sql)
+	if err != nil {
+		t.Fatalf("Route: %v", err)
+	}
+	if again != first {
+		t.Fatalf("repeat routed differently: %+v vs %+v", again, first)
+	}
+	if _, err := c.Submit(context.Background(), sql, 1); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if hits, misses := c.memo.Counters(); misses != 1 || hits != 2 {
+		t.Errorf("memo: %d hits %d misses, want 2 and 1", hits, misses)
+	}
+	if _, err := c.Route("SELECT FROM WHERE"); err == nil {
+		t.Error("garbage SQL should fail to route")
+	}
+}

@@ -2,10 +2,12 @@
 // coordinator consistent-hashes each query's semantics-aware
 // fingerprint (FNV-64a over the normalized SQL plus the catalog
 // fingerprint — the same key the plan cache uses, so routing preserves
-// cache affinity) onto a fixed slot space, assigns contiguous slot
-// ranges to engine shards, and keeps every shard serving the same
-// champion model version by fanning the coordinator registry's
-// promotions out to per-shard learn.Replica copies.
+// cache affinity; the normalized text comes from a bounded query.Memo,
+// so a repeated text is routed without a parse) onto a fixed slot
+// space, assigns contiguous slot ranges to engine shards, and keeps
+// every shard serving the same champion model version by fanning the
+// coordinator registry's promotions out to per-shard learn.Replica
+// copies.
 //
 // Each shard is a primary/replica pair of serving backends. A
 // sentinel-style health loop — driven by an explicit Tick, never the
